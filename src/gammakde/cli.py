@@ -13,25 +13,30 @@ import numpy as np
 
 from . import bandwidth as bw
 from . import estimator, simulate, validation
-from .models import GammaMarginal, product_exponential, product_gamma
+from .models import GammaMarginal, product_gamma
 from .theory import MixingProfile
 
 __all__ = ["main"]
 
 
+def _parse_marginal(spec):
+    """Marginal specs: exp:RATE | gamma:SHAPE,SCALE."""
+    kind, _, arg = spec.partition(":")
+    if kind == "exp":
+        return GammaMarginal(1.0, 1.0 / float(arg or 1.0))
+    if kind == "gamma":
+        parts = [float(p) for p in arg.split(",")]
+        return GammaMarginal(parts[0], parts[1] if len(parts) > 1 else 1.0)
+    raise argparse.ArgumentTypeError(f"unknown marginal spec '{spec}'")
+
+
 def _parse_model(spec, d):
     """Model specs: exp:RATE | gamma:SHAPE,SCALE | data:FILE."""
     kind, _, arg = spec.partition(":")
-    if kind == "exp":
-        return product_exponential(float(arg or 1.0), d=d), None
-    if kind == "gamma":
-        parts = [float(p) for p in arg.split(",")]
-        shape = parts[0]
-        scale = parts[1] if len(parts) > 1 else 1.0
-        return product_gamma([shape] * d, [scale] * d), None
     if kind == "data":
         return None, estimator.load_sample(arg)
-    raise ValueError(f"unknown model spec '{spec}'")
+    m = _parse_marginal(spec)
+    return product_gamma([m.shape] * d, [m.scale] * d), None
 
 
 def _parse_grid(spec):
@@ -101,15 +106,7 @@ def run_bandwidth(args):
 
 
 def run_simulate(args):
-    marginal_spec = args.marginal
-    kind, _, arg = marginal_spec.partition(":")
-    if kind == "exp":
-        marginal = GammaMarginal(1.0, 1.0 / float(arg or 1.0))
-    elif kind == "gamma":
-        parts = [float(p) for p in arg.split(",")]
-        marginal = GammaMarginal(parts[0], parts[1] if len(parts) > 1 else 1.0)
-    else:
-        raise SystemExit(f"unknown marginal '{marginal_spec}'")
+    marginal = args.marginal  # parsed by the --marginal argument type
     spec = simulate.MixingProcessSpec(marginal, phi=args.phi)
 
     if args.b is not None:
@@ -196,7 +193,8 @@ def main(argv=None):
                        help="comma-separated increasing sample sizes")
     p_sim.add_argument("--replicates", type=int, default=50)
     p_sim.add_argument("--phi", type=float, default=0.0)
-    p_sim.add_argument("--marginal", default="exp:1.0")
+    p_sim.add_argument("--marginal", type=_parse_marginal, default="exp:1.0",
+                       help="exp:RATE | gamma:SHAPE,SCALE")
     p_sim.add_argument("--b", type=float, default=None)
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.set_defaults(func=run_simulate)
@@ -207,6 +205,11 @@ def main(argv=None):
     p_val.set_defaults(func=run_validate)
 
     args = parser.parse_args(argv)
+    if args.command == "bandwidth" and args.upsilon is not None \
+            and args.alpha_integral is None:
+        p_bw.error("--upsilon needs --alpha-integral")
+    if args.command == "simulate" and args.seed < 0:
+        p_sim.error(f"--seed must be >= 0, got {args.seed}")
     return args.func(args)
 
 

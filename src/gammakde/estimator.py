@@ -6,8 +6,11 @@ The estimators average d-fold products of gamma kernels over the sample:
     dfhat/dx_a  = (1/n) sum_i c_i(x_a) prod_j K_{rho(x_j,b_j),b_j}(X_ij)
 
 with c_i = L(X_ia, x_a, b_a)/b_a on the interior branch and
-x_a/(2 b_a^2) * L on the boundary branch. Products are accumulated as
-sums of logs with a single exponentiation per sample.
+x_a/(2 b_a^2) * L on the boundary branch. Both are one contraction over
+the sample of per-axis (node x sample) kernel matrices; the derivative
+multiplies the matrix of axis a by c_i first. Pointwise estimates are
+one-node grids. An observation X_ia = 0 contributes c_i K = 0, the exact
+limit: K L ~ t^(rho-1) ln t -> 0 for x_a > 0, and c_i = 0 at x_a = 0.
 """
 
 from dataclasses import dataclass
@@ -115,11 +118,33 @@ def fragment(series, tau):
     return as_sample(np.array(windows))
 
 
-def _sum_log_kernels(data, x, b):
-    logs = np.zeros(data.shape[0])
-    for j in range(data.shape[1]):
-        logs = logs + log_kernel_eval(data[:, j], x[j], b[j])
-    return logs
+def _check_axis(axis, d):
+    axis = int(axis)
+    if not 0 <= axis < d:
+        raise ValueError(f"axis {axis} out of range for d={d}")
+    return axis
+
+
+def _field(data, axes, b, axis=None):
+    """Estimate on the tensor grid ``axes``; the derivative along ``axis``."""
+    mats = []
+    for j, nodes in enumerate(axes):
+        col = data[:, j]
+        mat = log_kernel_eval(col[None, :], nodes[:, None], b[j])
+        np.exp(mat, out=mat)
+        if j == axis:
+            pos = col > 0.0
+            c = l_term(np.where(pos, col, 1.0)[None, :], nodes[:, None], b[j])
+            c *= grad_prefactor(nodes, b[j])[:, None]
+            mat *= np.where((nodes > 0.0)[:, None] & pos, c, 0.0)
+        mats.append(mat)
+    if len(mats) == 1:
+        return mats[0].mean(axis=1)
+    # einsum without BLAS: the summation order, and so every output byte,
+    # does not depend on the thread count
+    letters = "abcdefghijklmnopqrstuvwxy"[: len(mats)]
+    spec = ",".join(a + "z" for a in letters) + "->" + letters
+    return np.einsum(spec, *mats) / data.shape[0]
 
 
 def density_at(sample, x, b):
@@ -127,18 +152,7 @@ def density_at(sample, x, b):
     data = as_sample(sample)
     d = data.shape[1]
     x = _as_point(x, d)
-    b = _as_bandwidth(b, d)
-    return float(np.mean(np.exp(_sum_log_kernels(data, x, b))))
-
-
-def _derivative_weights(data_col, x_a, b_a):
-    if np.any(data_col <= 0.0):
-        row = int(np.argmax(data_col <= 0.0))
-        raise ValueError(
-            f"derivative estimation needs positive data on the derivative "
-            f"axis; row {row} is {data_col[row]}"
-        )
-    return grad_prefactor(x_a, b_a) * l_term(data_col, x_a, b_a)
+    return _field(data, x[:, None], _as_bandwidth(b, d)).item()
 
 
 def density_partial_at(sample, x, b, axis):
@@ -147,14 +161,7 @@ def density_partial_at(sample, x, b, axis):
     d = data.shape[1]
     x = _as_point(x, d)
     b = _as_bandwidth(b, d)
-    axis = int(axis)
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for d={d}")
-    if x[axis] == 0.0:
-        # boundary prefactor x/(2b^2) vanishes at the origin
-        return 0.0
-    w = _derivative_weights(data[:, axis], x[axis], b[axis])
-    return float(np.mean(w * np.exp(_sum_log_kernels(data, x, b))))
+    return _field(data, x[:, None], b, _check_axis(axis, d)).item()
 
 
 def log_density_derivative_at(sample, x, b_f, b_df, axis, floor=DENSITY_FLOOR):
@@ -178,8 +185,8 @@ def log_density_derivative_at(sample, x, b_f, b_df, axis, floor=DENSITY_FLOOR):
 def field_on_grid(sample, axes, b, kind="density", axis=None):
     """Evaluate the density or derivative estimate on a tensor grid.
 
-    Per-axis log-kernel matrices are computed once and shared by all grid
-    nodes; results are identical to pointwise calls.
+    One pass over the per-axis kernel matrices; a pointwise call is the
+    same computation on a one-node grid.
     """
     data = as_sample(sample)
     d = data.shape[1]
@@ -194,45 +201,12 @@ def field_on_grid(sample, axes, b, kind="density", axis=None):
     b = _as_bandwidth(b, d)
     if kind not in ("density", "derivative"):
         raise ValueError("kind must be 'density' or 'derivative'")
-    if kind == "derivative":
-        axis = d - 1 if axis is None else int(axis)
-        if not 0 <= axis < d:
-            raise ValueError(f"axis {axis} out of range for d={d}")
-
-    # (grid-node, sample) log-kernel matrix per coordinate
-    lk = [
-        log_kernel_eval(data[:, j][None, :], axes[j][:, None], b[j])
-        for j in range(d)
-    ]
-
-    weights = None
-    if kind == "derivative":
-        col = data[:, axis]
-        if np.any(col <= 0.0):
-            row = int(np.argmax(col <= 0.0))
-            raise ValueError(
-                f"derivative estimation needs positive data on axis {axis}; "
-                f"row {row} is {col[row]}"
-            )
-        ga = axes[axis]
-        pref = grad_prefactor(ga, b[axis])[:, None]
-        pos = ga > 0.0
-        lt = np.zeros((ga.size, data.shape[0]))
-        if np.any(pos):
-            lt[pos] = l_term(col[None, :], ga[pos][:, None], b[axis])
-        weights = pref * lt  # zero rows where the grid coordinate is 0
-
-    shape = tuple(a.size for a in axes)
-    values = np.empty(shape)
-    for idx in np.ndindex(shape):
-        logs = lk[0][idx[0]]
-        for j in range(1, d):
-            logs = logs + lk[j][idx[j]]
-        if weights is None:
-            values[idx] = np.mean(np.exp(logs))
-        else:
-            values[idx] = np.mean(weights[idx[axis]] * np.exp(logs))
-    return FieldOnGrid(axes=axes, values=values, kind=kind)
+    if kind == "density":
+        axis = None
+    else:
+        axis = _check_axis(d - 1 if axis is None else axis, d)
+    return FieldOnGrid(axes=axes, values=_field(data, axes, b, axis),
+                       kind=kind)
 
 
 def load_sample(path):

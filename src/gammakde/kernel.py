@@ -18,14 +18,17 @@ from .special import digamma
 __all__ = ["rho", "kernel_eval", "log_kernel_eval", "l_term", "kernel_grad_x"]
 
 
-def _validate_point(x, b):
+def _shape(x, b):
+    """Validate (x, b) and return ``(x, b, rho, interior)`` as arrays."""
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(~np.isfinite(x)) or np.any(x < 0.0):
         raise ValueError("evaluation coordinate x must be finite and >= 0")
     if np.any(~np.isfinite(b)) or np.any(b <= 0.0):
         raise ValueError("bandwidth b must be finite and > 0")
-    return x, b
+    interior = x >= 2.0 * b
+    r = np.where(interior, x / b, (x / (2.0 * b)) ** 2 + 1.0)
+    return x, b, r, interior
 
 
 def rho(x, b):
@@ -34,9 +37,7 @@ def rho(x, b):
     Returns ``(rho, interior)`` where ``interior`` is True on the
     x >= 2b branch. Works elementwise on arrays.
     """
-    x, b = _validate_point(x, b)
-    interior = x >= 2.0 * b
-    r = np.where(interior, x / b, (x / (2.0 * b)) ** 2 + 1.0)
+    _, _, r, interior = _shape(x, b)
     if r.ndim == 0:
         return float(r), bool(interior)
     return r, interior
@@ -51,8 +52,7 @@ def log_kernel_eval(t, x, b):
     t = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(t)) or np.any(t < 0.0):
         raise ValueError("kernel argument t must be finite and >= 0")
-    x, b = _validate_point(x, b)
-    r = np.where(x >= 2.0 * b, x / b, (x / (2.0 * b)) ** 2 + 1.0)
+    _, b, r, _ = _shape(x, b)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         logt = np.log(t)
@@ -83,16 +83,15 @@ def l_term(t, x, b):
     t = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
         raise ValueError("l_term requires t > 0")
-    x, b = _validate_point(x, b)
-    r = np.where(x >= 2.0 * b, x / b, (x / (2.0 * b)) ** 2 + 1.0)
+    _, b, r, _ = _shape(x, b)
     out = np.log(t) - np.log(b) - digamma(r)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def grad_prefactor(x, b):
     """d(rho)/dx over the two branches: 1/b interior, x/(2 b^2) boundary."""
-    x, b = _validate_point(x, b)
-    out = np.where(x >= 2.0 * b, 1.0 / b, x / (2.0 * b**2))
+    x, b, _, interior = _shape(x, b)
+    out = np.where(interior, 1.0 / b, x / (2.0 * b**2))
     return float(out) if out.ndim == 0 else out
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["tensor_axes", "grid_points", "trapezoid_nd", "integrate_box"]
+__all__ = ["tensor_axes", "grid_points", "trapezoid_nd"]
 
 
 def tensor_axes(domain, nodes=200):
@@ -28,12 +28,3 @@ def trapezoid_nd(values, axes):
     for a in reversed(axes):
         out = np.trapezoid(out, a, axis=-1)
     return float(out)
-
-
-def integrate_box(func, domain, nodes=200):
-    """Trapezoid integral of a vectorized func((..., d)) over a box."""
-    axes = tensor_axes(domain, nodes)
-    vals = func(grid_points(axes))
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("non-finite integrand on quadrature grid")
-    return trapezoid_nd(vals, axes)

@@ -1,16 +1,8 @@
-"""Scalar special functions backing the gamma kernel and its expansions.
-
-All gamma-function arithmetic is done in log space: the kernel shape
-parameter grows like x/b and direct evaluation of Gamma overflows long
-before the bandwidths of interest are reached.
-"""
+"""The digamma function behind the kernel's derivative factor L."""
 
 import numpy as np
-from scipy.special import gammaln
 
-__all__ = ["log_gamma", "digamma", "stirling_ratio"]
-
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+__all__ = ["digamma"]
 
 # Shift argument above this value before applying the asymptotic series;
 # the series error is O(z^-8), below 1e-10 from z = 10 on.
@@ -22,17 +14,6 @@ def _check_positive(z, name="z"):
     if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
         raise ValueError(f"{name} must be finite and strictly positive")
     return z
-
-
-def log_gamma(z):
-    """ln Gamma(z) for z > 0.
-
-    Accepts scalars or arrays. Raises ValueError on non-finite or
-    non-positive input.
-    """
-    z = _check_positive(z)
-    out = gammaln(z)
-    return float(out) if out.ndim == 0 else out
 
 
 def digamma(z):
@@ -67,15 +48,3 @@ def digamma(z):
     )
     out = acc + series
     return float(out[0]) if scalar else out
-
-
-def stirling_ratio(z):
-    """R(z) = sqrt(2*pi) * exp(-z) * z**(z + 1/2) / Gamma(z + 1).
-
-    Monotonically increasing on (0, inf), bounded by 1, and tending to 1
-    as z -> inf. Evaluated in log space.
-    """
-    z = _check_positive(z)
-    log_r = _LOG_SQRT_2PI - z + (z + 0.5) * np.log(z) - gammaln(z + 1.0)
-    out = np.exp(log_r)
-    return float(out) if out.ndim == 0 else out

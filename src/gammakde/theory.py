@@ -7,7 +7,6 @@ expansions are proven for interior points only (every coordinate at
 least 2b); boundary points are rejected rather than extrapolated.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,8 +137,6 @@ def var_density(m, x, b, n, tau):
     f = float(m.pdf(x))
     pref = float(_variance_prefactor(x, b, n, tau))
     v1 = _v1(m, x)
-    if os.environ.get("GAMMAKDE_FAULT_V1") == "1":
-        v1 = -v1  # fault-injection hook for the validate command's self-test
     v2 = _v2(m, x)
     mean = f + 0.5 * b * float(_curvature_sum(m, x))
     components = {

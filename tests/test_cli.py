@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gammakde import theory
 from gammakde.cli import main
 from gammakde.kernel import kernel_eval
 
@@ -110,6 +111,14 @@ class TestBandwidth:
         assert rc == 0
         assert "kind=MixingAware" in capsys.readouterr().out
 
+    def test_upsilon_needs_alpha_integral(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bandwidth", "--which", "density", "--tau", "0",
+                  "--n", "1000", "--model", "gamma:3.0,1.0",
+                  "--upsilon", "0.5"])
+        assert exc.value.code == 2
+        assert "--alpha-integral" in capsys.readouterr().err
+
     def test_mixing_rule_rejects_derivative(self):
         with pytest.raises(SystemExit):
             main(["bandwidth", "--which", "derivative", "--tau", "0",
@@ -126,6 +135,14 @@ class TestSimulate:
         assert main(argv + ["--output", str(b), "--workers", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert "slope=" in capsys.readouterr().out
+
+    def test_rejects_negative_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--seed", "-1", "--n-grid", "100,200,400",
+                  "--b", "0.15", "--output", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_requires_seed(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -147,7 +164,8 @@ class TestValidate:
     def test_fault_injection_detected(self, capsys, monkeypatch):
         # flipping a variance-expansion sign must turn the Monte Carlo
         # bias/variance check into a FAIL and a nonzero exit code
-        monkeypatch.setenv("GAMMAKDE_FAULT_V1", "1")
+        orig = theory._v1
+        monkeypatch.setattr(theory, "_v1", lambda m, x: -orig(m, x))
         monkeypatch.setenv("GAMMAKDE_THREADS", "4")
         rc = main(["validate"])
         out = capsys.readouterr().out

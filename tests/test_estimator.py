@@ -31,15 +31,19 @@ def _naive_density(data, x, b):
     return total / data.shape[0]
 
 
-def _naive_partial(data, x, b, axis):
-    total = 0.0
+def _naive_partial_terms(data, x, b, axis):
+    terms = []
     for row in data:
         prod = 1.0
         for j in range(data.shape[1]):
             prod *= kernel_eval(row[j], x[j], b[j])
-        total += grad_prefactor(x[axis], b[axis]) * l_term(
-            row[axis], x[axis], b[axis]) * prod
-    return total / data.shape[0]
+        terms.append(grad_prefactor(x[axis], b[axis]) * l_term(
+            row[axis], x[axis], b[axis]) * prod)
+    return np.array(terms)
+
+
+def _naive_partial(data, x, b, axis):
+    return _naive_partial_terms(data, x, b, axis).sum() / data.shape[0]
 
 
 def _sample(d, n=200, seed=31):
@@ -115,12 +119,26 @@ class TestDensityPartialAt:
         got = density_partial_at(data, x, b, axis=0)
         assert got == pytest.approx(fd, rel=1e-6)
 
-    def test_rejects_zero_data_on_axis(self):
+    def test_zero_data_on_axis_takes_exact_limit(self):
+        # K L ~ t^(rho-1) ln t -> 0 as t -> 0 (rho > 1 for x > 0), so a
+        # zero on the derivative axis adds nothing but still counts in n
         data = np.array([[1.0, 0.5], [2.0, 0.0]])
-        with pytest.raises(ValueError, match="row 1"):
-            density_partial_at(data, [1.0, 1.0], 0.1, axis=1)
-        # zero on the other axis is fine
-        density_partial_at(data, [1.0, 1.0], 0.1, axis=0)
+        pos = data[data[:, 1] > 0.0]
+        b = np.array([0.1, 0.1])
+        for xa in (0.15, 1.0):  # boundary and interior branch
+            want = (_naive_partial(pos, [1.0, xa], b, 1) * len(pos)
+                    / len(data))
+            got = density_partial_at(data, [1.0, xa], b, axis=1)
+            assert got == pytest.approx(want, rel=1e-12)
+            assert got != 0.0
+        axes = [np.array([1.0]), np.array([0.0, 0.15, 1.0])]
+        field = field_on_grid(data, axes, b, kind="derivative", axis=1)
+        assert np.all(np.isfinite(field.values))
+        for coords, value in field.nodes():
+            assert value == pytest.approx(
+                density_partial_at(data, list(coords), b, 1), rel=1e-12)
+        # zero on the other axis is an ordinary kernel argument
+        assert np.isfinite(density_partial_at(data, [1.0, 1.0], b, axis=0))
 
     def test_rejects_bad_axis(self):
         with pytest.raises(ValueError):
@@ -182,6 +200,26 @@ class TestFieldOnGrid:
             assert value == pytest.approx(
                 density_partial_at(data, list(coords), 0.15, axis),
                 rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("kind,d,axis", [
+        ("density", 2, None), ("density", 3, None),
+        ("derivative", 2, 0), ("derivative", 2, 1), ("derivative", 3, 1),
+    ])
+    def test_matches_brute_force(self, kind, d, axis):
+        # the grid contraction against the literal per-observation terms,
+        # within 1e-12 of the mean |term| (signed sums cancel)
+        data = _sample(d, n=40)
+        axes = [np.linspace(0.0, 3.0, 3 + j) for j in range(d)]
+        b = np.linspace(0.1, 0.2, d)
+        field = field_on_grid(data, axes, b, kind=kind, axis=axis)
+        for coords, value in field.nodes():
+            if kind == "density":
+                terms = np.array([_naive_density(row[None, :], coords, b)
+                                  for row in data])
+            else:
+                terms = _naive_partial_terms(data, coords, b, axis)
+            tol = 1e-12 * np.mean(np.abs(terms))
+            assert abs(value - terms.mean()) <= tol
 
     def test_default_derivative_axis_is_last(self):
         data = _sample(2, n=40)

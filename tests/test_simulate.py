@@ -1,6 +1,11 @@
 """Simulation-harness tests: marginal exactness, dependence structure,
 determinism across worker counts, and rate-fit recovery."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -21,6 +26,22 @@ from gammakde.simulate import (
 
 EXP_SPEC = MixingProcessSpec(GammaMarginal(1.0, 1.0), phi=0.0)
 AR_SPEC = MixingProcessSpec(GammaMarginal(1.0, 1.0), phi=0.5)
+
+# `gammakde simulate` for a tau=1 density and a tau=2 derivative study at
+# 1, 2 and 8 workers; argv[1] is the output directory
+SIMULATE_LAGS = """
+import sys
+from gammakde.cli import main
+for name, extra in (
+        ("tau1-density", ["--tau", "1"]),
+        ("tau2-derivative", ["--tau", "2", "--which", "derivative",
+                             "--marginal", "gamma:3.0,1.0"])):
+    for w in (1, 2, 8):
+        out = f"{sys.argv[1]}/{name}-w{w}.csv"
+        assert main(["simulate", "--seed", "21", "--n-grid", "100,200,400",
+                     "--replicates", "4", "--b", "0.3", "--phi", "0.5",
+                     "--workers", str(w), "--output", out] + extra) == 0
+"""
 
 
 class TestGenSeries:
@@ -137,6 +158,26 @@ class TestMcMise:
         for other in results[1:]:
             assert other.records == results[0].records
             assert other.summary == results[0].summary
+
+    def test_lag_outputs_identical_across_workers_and_blas_threads(
+            self, tmp_path):
+        # the d >= 2 contraction must not depend on the BLAS thread count
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env.pop("GAMMAKDE_THREADS", None)
+            out = tmp_path / threads
+            out.mkdir()
+            subprocess.run([sys.executable, "-c", SIMULATE_LAGS, str(out)],
+                           env=env, check=True, capture_output=True)
+        for name in ("tau1-density", "tau2-derivative"):
+            runs = sorted(tmp_path.glob(f"*/{name}-w*.csv"))
+            assert len(runs) == 6
+            first = runs[0].read_bytes()
+            assert b"# excluded" not in first
+            assert all(run.read_bytes() == first for run in runs[1:])
 
     def test_mise_decreases_with_n(self):
         cfg = self._config(n_grid=[100, 400, 1600], replicates=12)

@@ -1,4 +1,4 @@
-"""Oracle tests for the scalar special functions.
+"""Oracle tests for the digamma function.
 
 Reference values come from mpmath at 50 digits, frozen here, plus the
 classical recurrence and limit identities that must hold for all
@@ -8,18 +8,9 @@ positive arguments.
 import numpy as np
 import pytest
 
-from gammakde.special import digamma, log_gamma, stirling_ratio
+from gammakde.special import digamma
 
 # mpmath.mp.dps = 50 oracle values
-LOG_GAMMA_ORACLE = [
-    (0.5, 0.57236494292470008707171367567652935582364740645765),
-    (1.0, 0.0),
-    (2.0, 0.0),
-    (3.5, 1.2009736023470742248160218814507129957702389154682),
-    (10.0, 12.801827480081469611207717874566706164281149255663),
-    (171.6, 709.65735876305632129994702082469695935182281151104),
-]
-
 DIGAMMA_ORACLE = [
     (0.001, -1000.5755719318102796547567106572251873637118091313),
     (0.1, -10.423754940411076232620032001936213958876226735675),
@@ -29,28 +20,6 @@ DIGAMMA_ORACLE = [
     (10.0, 2.2517525890667211076474561638858515372650028368497),
     (1e6, 13.815510057964190770774615403106185245602640677804),
 ]
-
-
-class TestLogGamma:
-    @pytest.mark.parametrize("z,expected", LOG_GAMMA_ORACLE)
-    def test_oracle_values(self, z, expected):
-        assert log_gamma(z) == pytest.approx(expected, abs=1e-10, rel=1e-12)
-
-    def test_functional_equation(self):
-        # Gamma(z+1) = z Gamma(z), i.e. lg(z+1) - lg(z) = ln z
-        z = np.geomspace(1e-2, 1e4, 40)
-        np.testing.assert_allclose(
-            log_gamma(z + 1.0) - log_gamma(z), np.log(z), rtol=1e-10
-        )
-
-    def test_no_overflow_at_large_shape(self):
-        # x/b with x=5, b=1e-6 is a routine kernel shape
-        assert np.isfinite(log_gamma(5e6))
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 class TestDigamma:
@@ -90,19 +59,3 @@ class TestDigamma:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             digamma(-0.5)
-
-
-class TestStirlingRatio:
-    def test_value_at_one(self):
-        # sqrt(2 pi) e^{-1} / Gamma(2)
-        expected = np.sqrt(2.0 * np.pi) * np.exp(-1.0)
-        assert stirling_ratio(1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_monotone_bounded_geometric_grid(self):
-        z = 0.5 * 2.0 ** np.arange(0, 22)
-        vals = stirling_ratio(z)
-        assert np.all(np.diff(vals) >= 0.0)
-        assert np.all((vals > 0.0) & (vals < 1.0))
-
-    def test_limit_is_one(self):
-        assert stirling_ratio(1e12) == pytest.approx(1.0, abs=1e-10)

@@ -110,7 +110,8 @@ class TestVarDensity:
 
     def test_fault_hook_flips_v1(self, monkeypatch):
         clean = var_density(GAMMA3, [1.0], 0.1, 1000, 0).components["v1_term"]
-        monkeypatch.setenv("GAMMAKDE_FAULT_V1", "1")
+        orig = theory._v1
+        monkeypatch.setattr(theory, "_v1", lambda m, x: -orig(m, x))
         faulty = var_density(GAMMA3, [1.0], 0.1, 1000, 0).components["v1_term"]
         assert faulty == pytest.approx(-clean, rel=1e-14)
 
