@@ -32,5 +32,5 @@ joint = truth_model(spec, tau)
 print(f"\njoint density on the diagonal, bandwidth {b}:")
 print(f"{'x':>5} {'estimate':>9} {'truth':>9}")
 for i, x in enumerate(diag):
-    truth = float(joint.pdf(np.array([[x, x]])))
+    truth = joint.pdf(np.array([[x, x]])).item()
     print(f"{x:5.2f} {field.values[i, i]:9.4f} {truth:9.4f}")

@@ -34,9 +34,21 @@ def _parse_model(spec, d):
     """Model specs: exp:RATE | gamma:SHAPE,SCALE | data:FILE."""
     kind, _, arg = spec.partition(":")
     if kind == "data":
-        return None, estimator.load_sample(arg)
-    m = _parse_marginal(spec)
+        return None, _load_sample(arg)
+    try:
+        m = _parse_marginal(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad --model spec '{spec}': {exc}") from exc
     return product_gamma([m.shape] * d, [m.scale] * d), None
+
+
+def _load_sample(path):
+    """load_sample with unreadable or malformed input as a usage error."""
+    try:
+        return estimator.load_sample(path)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_grid(spec):
@@ -66,7 +78,7 @@ def _resolve_bandwidth(args, data, tau, which):
 
 
 def run_estimate(args):
-    data = estimator.load_sample(args.input)
+    data = _load_sample(args.input)
     if data.shape[1] == 1 and args.tau > 0:
         data = estimator.fragment(data[:, 0], args.tau)
     d = data.shape[1]
@@ -210,7 +222,11 @@ def main(argv=None):
         p_bw.error("--upsilon needs --alpha-integral")
     if args.command == "simulate" and args.seed < 0:
         p_sim.error(f"--seed must be >= 0, got {args.seed}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        # bad input named on the command line: one line and exit 2
+        sub.choices[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

@@ -11,8 +11,22 @@ the sample of per-axis (node x sample) kernel matrices; the derivative
 multiplies the matrix of axis a by c_i first. Pointwise estimates are
 one-node grids. An observation X_ia = 0 contributes c_i K = 0, the exact
 limit: K L ~ t^(rho-1) ln t -> 0 for x_a > 0, and c_i = 0 at x_a = 0.
+
+The sum over the sample is taken in chunks of at most
+cols = max(128, 2^20 // sum_j m_j) rows, for m_j nodes on axis j, so the
+kernel matrices of one chunk hold about 2^20 floats (8 MB). The rows are
+split as numpy's pairwise sum splits a row (half = n // 2, rounded down
+to a multiple of 8, recursively), the two halves' sums are added, and
+the total is divided by n once. Memory is O(cols * sum_j m_j) for the
+chunk plus one partial field of prod_j m_j values per level of the
+split, log2(n / cols) levels. For d = 1 each chunk is a subtree of the
+pairwise sum over all n terms, so the estimate is bitwise the one-pass
+``mean``. For d >= 2 it is bitwise the one-pass ``einsum`` while
+n <= cols; beyond, it stays deterministic and differs from the one-pass
+sum only in the last bits.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +47,12 @@ __all__ = [
 ]
 
 DENSITY_FLOOR = 1e-12
+
+# float64 elements in the kernel matrices of one chunk, all axes (8 MB)
+_CHUNK_ELEMS = 1 << 20
+# numpy sums a block of up to 128 terms in one pass, without splitting it,
+# so no chunk is made smaller (and under 16 rows half would round to 0)
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass
@@ -127,6 +147,22 @@ def _check_axis(axis, d):
 
 def _field(data, axes, b, axis=None):
     """Estimate on the tensor grid ``axes``; the derivative along ``axis``."""
+    cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(a.size for a in axes))
+    return _sum_terms(data, axes, b, axis, cols) / data.shape[0]
+
+
+def _sum_terms(data, axes, b, axis, cols):
+    """Sum the per-observation terms over the rows of ``data``.
+
+    Rows are split as numpy's pairwise sum splits a row, so for d = 1
+    every split is one that ``sum`` over all rows would make itself.
+    """
+    n = data.shape[0]
+    if n > cols:
+        half = n // 2
+        half -= half % 8
+        return (_sum_terms(data[:half], axes, b, axis, cols)
+                + _sum_terms(data[half:], axes, b, axis, cols))
     mats = []
     for j, nodes in enumerate(axes):
         col = data[:, j]
@@ -139,12 +175,12 @@ def _field(data, axes, b, axis=None):
             mat *= np.where((nodes > 0.0)[:, None] & pos, c, 0.0)
         mats.append(mat)
     if len(mats) == 1:
-        return mats[0].mean(axis=1)
+        return mats[0].sum(axis=1)
     # einsum without BLAS: the summation order, and so every output byte,
     # does not depend on the thread count
     letters = "abcdefghijklmnopqrstuvwxy"[: len(mats)]
     spec = ",".join(a + "z" for a in letters) + "->" + letters
-    return np.einsum(spec, *mats) / data.shape[0]
+    return np.einsum(spec, *mats)
 
 
 def density_at(sample, x, b):
@@ -212,35 +248,83 @@ def field_on_grid(sample, axes, b, kind="density", axis=None):
 def load_sample(path):
     """Read a sample from delimited text: one observation per line.
 
-    Accepts comma- or whitespace-separated columns and an optional single
-    header line. Parse and sign errors are reported with line numbers.
+    Accepts comma- or whitespace-separated columns, blank lines, lines
+    starting with '#', and an optional single header line. Parse and sign
+    errors are reported with line numbers.
     """
-    rows = []
-    d = None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",") if "," in line else line.split()
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                if lineno == 1 and not rows:
-                    continue  # header
-                raise ValueError(f"{path}:{lineno}: cannot parse '{line}'")
-            if d is None:
-                d = len(vals)
-            elif len(vals) != d:
+        data = _load_fast(path, fh)
+        if data is not None and np.all(data >= 0.0):
+            return as_sample(data)
+        fh.seek(0)
+        return _load_lines(path, fh)
+
+
+def _data_rows(path, fh):
+    """Yield ``(lineno, line, values)`` for each data line of ``fh``.
+
+    Skips blank lines, lines starting with '#' and an unparseable line 1,
+    the header; any other unparseable line is an error.
+    """
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",") if "," in line else line.split()
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError:
+            if lineno == 1:
+                continue  # header
+            raise ValueError(f"{path}:{lineno}: cannot parse '{line}'")
+        yield lineno, line, vals
+
+
+def _load_fast(path, fh):
+    """``np.loadtxt`` on a file that ``_load_lines`` would read the same way.
+
+    Returns None where loadtxt fails or could read the file otherwise:
+    a '#' after the start of a line, or no data rows (loadtxt warns).
+    ``_load_lines`` then names the line at fault.
+    """
+    try:
+        first = next(_data_rows(path, fh), None)
+    except ValueError:
+        return None
+    if first is None:
+        return None
+    lineno, line, _ = first
+    fh.seek(0)
+    text = fh.read()
+    if "#" in text and _INLINE_COMMENT.search(text):
+        return None
+    del text
+    fh.seek(0)
+    try:
+        # the lines before the first data line are blank, comment or header
+        return np.loadtxt(fh, dtype=float, comments="#",
+                          delimiter="," if "," in line else None,
+                          skiprows=lineno - 1, ndmin=2)
+    except ValueError:
+        return None
+
+
+# a '#' after the first non-blank character of its line
+_INLINE_COMMENT = re.compile(r"^[^\S\n]*[^#\s][^\n]*#", re.M)
+
+
+def _load_lines(path, fh):
+    rows = []
+    for lineno, _, vals in _data_rows(path, fh):
+        if rows and len(vals) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} "
+                             f"columns, got {len(vals)}")
+        for col, v in enumerate(vals):
+            if v < 0.0:
                 raise ValueError(
-                    f"{path}:{lineno}: expected {d} columns, got {len(vals)}"
+                    f"{path}:{lineno}: negative value in column {col}"
                 )
-            for col, v in enumerate(vals):
-                if v < 0.0:
-                    raise ValueError(
-                        f"{path}:{lineno}: negative value in column {col}"
-                    )
-            rows.append(vals)
+        rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return as_sample(np.array(rows))

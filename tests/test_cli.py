@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gammakde import theory
+from gammakde import estimator, theory
 from gammakde.cli import main
 from gammakde.kernel import kernel_eval
 
@@ -52,6 +52,42 @@ class TestEstimate:
         assert rows.shape == (3, 2)
         # the density is decreasing here, so the derivative is negative
         assert np.all(rows[:, 1] < 0.0)
+
+    @pytest.mark.parametrize("which", ["density", "derivative"])
+    def test_output_bytes_independent_of_chunk_size(self, tmp_path,
+                                                    monkeypatch, which):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        sample = tmp_path / "s.txt"
+        np.savetxt(sample, rng.gamma(3.0, 1.0, size=5000), fmt="%.17g")
+        argv = ["estimate", "--input", str(sample), "--which", which,
+                "--b", "0.2", "--grid", "0:10:40"]
+        one, many = tmp_path / "one.csv", tmp_path / "many.csv"
+        assert main(argv + ["--output", str(one)]) == 0
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMS", 1)
+        assert main(argv + ["--output", str(many)]) == 0
+        assert one.read_bytes() == many.read_bytes()
+
+    def test_missing_input_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", str(tmp_path / "absent.csv"),
+                  "--output", str(tmp_path / "f.csv"), "--b", "0.3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "gammakde estimate: error:" in err
+        assert "absent.csv" in err
+        assert "Traceback" not in err
+
+    def test_negative_input_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "neg.csv"
+        bad.write_text("1.0\n0.5\n-2.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", str(bad),
+                  "--output", str(tmp_path / "f.csv"), "--b", "0.3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "gammakde estimate: error:" in err
+        assert "neg.csv:3: negative value in column 0" in err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_plugin_rule_resolves(self, tmp_path, capsys):
         out = tmp_path / "field.csv"
@@ -118,6 +154,25 @@ class TestBandwidth:
                   "--upsilon", "0.5"])
         assert exc.value.code == 2
         assert "--alpha-integral" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["weibull:2", "gamma:x"])
+    def test_bad_model_is_usage_error(self, capsys, spec):
+        with pytest.raises(SystemExit) as exc:
+            main(["bandwidth", "--which", "density", "--n", "100",
+                  "--model", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "gammakde bandwidth: error:" in err
+        assert spec in err
+
+    def test_bad_data_model_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "neg.csv"
+        bad.write_text("1.0\n-0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bandwidth", "--which", "density", "--n", "100",
+                  "--model", f"data:{bad}"])
+        assert exc.value.code == 2
+        assert "neg.csv:2: negative value" in capsys.readouterr().err
 
     def test_mixing_rule_rejects_derivative(self):
         with pytest.raises(SystemExit):

@@ -5,9 +5,13 @@ one coordinate at a time, without log-space accumulation or shared
 kernel matrices. Agreement is required to near machine precision.
 """
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from gammakde import estimator
 from gammakde.estimator import (
     as_sample,
     density_at,
@@ -18,7 +22,12 @@ from gammakde.estimator import (
     log_density_derivative_at,
     save_field,
 )
-from gammakde.kernel import grad_prefactor, kernel_eval, l_term
+from gammakde.kernel import (
+    grad_prefactor,
+    kernel_eval,
+    l_term,
+    log_kernel_eval,
+)
 
 
 def _naive_density(data, x, b):
@@ -246,6 +255,91 @@ class TestFieldOnGrid:
             field_on_grid(_sample(2), [np.array([1.0])], 0.1)
 
 
+def _one_pass_mats(data, axes, b, axis):
+    """Per-axis (node x sample) matrices over the whole sample at once."""
+    mats = []
+    for j, nodes in enumerate(axes):
+        col = data[:, j]
+        mat = np.exp(log_kernel_eval(col[None, :], nodes[:, None], b[j]))
+        if j == axis:
+            pos = col > 0.0
+            c = grad_prefactor(nodes, b[j])[:, None] * l_term(
+                np.where(pos, col, 1.0)[None, :], nodes[:, None], b[j])
+            mat *= np.where((nodes > 0.0)[:, None] & pos, c, 0.0)
+        mats.append(mat)
+    return mats
+
+
+def _one_pass(data, axes, b, axis):
+    """The unchunked field and, per node, the mean |term| of its sum."""
+    mats = _one_pass_mats(data, axes, b, axis)
+    if len(mats) == 1:
+        return mats[0].mean(axis=1), np.abs(mats[0]).mean(axis=1)
+    letters = "abc"[: len(mats)]
+    spec = ",".join(a + "z" for a in letters) + "->" + letters
+    n = data.shape[0]
+    return (np.einsum(spec, *mats) / n,
+            np.einsum(spec, *[np.abs(m) for m in mats]) / n)
+
+
+class TestChunkedEngine:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 129, 1000, 4097])
+    @pytest.mark.parametrize("kind", ["density", "derivative"])
+    def test_d1_identical_to_one_pass_mean(self, monkeypatch, kind, n):
+        data = _sample(1, n=n, seed=n)
+        data[::5] = 0.0  # exact zeros on the derivative axis
+        axes = [np.linspace(0.0, 6.0, 40)]
+        axis = 0 if kind == "derivative" else None
+        want, _ = _one_pass(data, axes, np.array([0.2]), axis)
+        # the smallest chunks the engine takes: 128 rows
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMS", 1)
+        got = field_on_grid(data, axes, 0.2, kind=kind).values
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind,d,axis", [
+        ("density", 2, None), ("density", 3, None),
+        ("derivative", 2, 0), ("derivative", 3, 2),
+    ])
+    def test_multivariate_matches_one_pass(self, monkeypatch, kind, d, axis):
+        data = _sample(d, n=1500)
+        data[::7, d - 1] = 0.0
+        axes = [np.linspace(0.0, 4.0, 9 - j) for j in range(d)]
+        b = np.linspace(0.15, 0.25, d)
+        want, scale = _one_pass(data, axes, b, axis)
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMS", 1)
+        got = field_on_grid(data, axes, b, kind=kind, axis=axis).values
+        if kind == "density":
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        else:
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_memory_bounded_by_chunk(self):
+        # the full 200 x 2e5 kernel matrix alone would take 320 MB
+        data = _sample(1, n=200_000)
+        axes = [np.linspace(0.0, 12.0, 200)]
+        tracemalloc.start()
+        try:
+            field_on_grid(data, axes, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
+def _write(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+def _both_loaders(path):
+    with open(path) as fh:
+        fast = estimator._load_fast(path, fh)
+    with open(path) as fh:
+        slow = estimator._load_lines(path, fh)
+    return fast, slow
+
+
 class TestIO:
     def test_round_trip_sample(self, tmp_path):
         data = _sample(2, n=25)
@@ -281,6 +375,49 @@ class TestIO:
         p.write_text("# just a comment\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_sample(p)
+
+    @pytest.mark.parametrize("text", [
+        "1.5,2.0\n3.0,4.25\n",
+        "1.5 2.0\n  3.0   4.25  \n",
+        "1.5\t2.0\n3.0\t\t4.25\n",
+        "1.5,2.0\r\n3.0,4.25\r\n",
+        "x,y\n1.5,2.0\n3.0,4.25\n",
+        "a b\n\n1.5 2.0\n\n3.0 4.25\n\n",
+        "# comment\n1.5,2.0\n#\n3.0, 4.25\n# end\n",
+        "0.0\n1e-3\n2.5E+2\n",
+    ], ids=["commas", "spaces", "tabs", "crlf", "header", "blank-lines",
+            "comment-lines", "one-column"])
+    def test_fast_loader_matches_line_parser(self, tmp_path, text):
+        p = _write(tmp_path / "s.txt", text)
+        fast, slow = _both_loaders(p)
+        assert fast is not None
+        assert fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
+        np.testing.assert_array_equal(load_sample(p), slow)
+
+    @pytest.mark.parametrize("text,want", [
+        ("1.0,2.0 # note\n3.0,4.0\n", [[3.0, 4.0]]),  # line 1: header
+        ("1.0,2.0\n3.0 4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1.0,2.0\n   \n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1_000\n2\n", [[1000.0], [2.0]]),
+    ], ids=["inline-comment", "mixed-delimiters", "blank-with-spaces",
+            "underscores"])
+    def test_line_parser_decides_where_loadtxt_differs(self, tmp_path,
+                                                        text, want):
+        p = _write(tmp_path / "s.txt", text)
+        fast, slow = _both_loaders(p)
+        assert fast is None
+        np.testing.assert_array_equal(slow, want)
+        np.testing.assert_array_equal(load_sample(p), want)
+
+    @pytest.mark.parametrize("text", ["", "# just a comment\n", "x,y\n"],
+                             ids=["empty", "comment-only", "header-only"])
+    def test_no_rows_rejected_without_warning(self, tmp_path, text):
+        p = _write(tmp_path / "s.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                load_sample(p)
 
     def test_save_field_round_trip(self, tmp_path):
         data = _sample(2, n=30)
