@@ -11,7 +11,7 @@ bias correction to bolt on afterwards. Submodules:
 - ``cli``: the ``gammakde`` command-line front end
 """
 
-from . import bandwidth, estimator, kernel, models, simulate, special, theory
+from . import bandwidth, estimator, kernel, models, simulate, theory
 from .bandwidth import (
     BandwidthRule,
     DivergentIntegralError,
@@ -65,8 +65,7 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "bandwidth", "estimator", "kernel", "models", "simulate", "special",
-    "theory",
+    "bandwidth", "estimator", "kernel", "models", "simulate", "theory",
     "BandwidthRule", "DivergentIntegralError", "density_bandwidth",
     "derivative_bandwidth", "mixing_bandwidth", "plug_in_bandwidth",
     "FieldOnGrid", "density_at", "density_partial_at", "field_on_grid",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import estimator
 from .models import product_gamma
-from .quadrature import grid_points, tensor_axes, trapezoid_nd
+from .quadrature import grid_points, trapezoid_nd
 
 __all__ = [
     "BandwidthRule",
@@ -86,7 +86,7 @@ def _default_nodes(d):
     return {1: 4001, 2: 801}.get(d, 301)
 
 
-def _power_sub_integral(g, upper, p, nodes, name, check=True, lower=None):
+def _power_sub_integral(g, upper, p, nodes, name, lower=None):
     """Integral of g over an orthant box after the substitution x_j = u_j^p.
 
     g receives points x of shape (..., d); the p u^(p-1) Jacobian is
@@ -116,28 +116,27 @@ def _power_sub_integral(g, upper, p, nodes, name, check=True, lower=None):
     # some axis. Estimate a from function values at a halved cutoff,
     # holding the other axes at mid-domain.
     cut = 1e-6 * np.min(u_hi)
-    if check:
-        d = len(u_hi)
-        mid = 0.5 * u_hi
+    d = len(u_hi)
+    mid = 0.5 * u_hi
 
-        def _w(j, uj):
-            u = mid.copy()
-            u[j] = uj
-            x = u**p
-            jac = np.prod(p * u ** (p - 1.0))
-            return float(np.asarray(g(x[None, :])).ravel()[0]) * jac
+    def _w(j, uj):
+        u = mid.copy()
+        u[j] = uj
+        x = u**p
+        jac = np.prod(p * u ** (p - 1.0))
+        return float(np.asarray(g(x[None, :])).ravel()[0]) * jac
 
-        for j in range(d):
-            w_cut, w_half = _w(j, cut), _w(j, 0.5 * cut)
-            if w_cut <= 0.0 or w_half <= 0.0:
-                continue
-            a = np.log2(w_half / w_cut) / np.log2(0.5)
-            if a <= -0.999:
-                raise DivergentIntegralError(
-                    f"{name} diverges near the origin face of the domain "
-                    "(reference density too heavy at origin; a Gamma(k>=3) "
-                    "reference keeps it finite)"
-                )
+    for j in range(d):
+        w_cut, w_half = _w(j, cut), _w(j, 0.5 * cut)
+        if w_cut <= 0.0 or w_half <= 0.0:
+            continue
+        a = np.log2(w_half / w_cut) / np.log2(0.5)
+        if a <= -0.999:
+            raise DivergentIntegralError(
+                f"{name} diverges near the origin face of the domain "
+                "(reference density too heavy at origin; a Gamma(k>=3) "
+                "reference keeps it finite)"
+            )
     return _eval(np.full(len(u_hi), 0.25 * cut))
 
 

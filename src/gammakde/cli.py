@@ -22,11 +22,15 @@ __all__ = ["main"]
 def _parse_marginal(spec):
     """Marginal specs: exp:RATE | gamma:SHAPE,SCALE."""
     kind, _, arg = spec.partition(":")
-    if kind == "exp":
-        return GammaMarginal(1.0, 1.0 / float(arg or 1.0))
-    if kind == "gamma":
-        parts = [float(p) for p in arg.split(",")]
-        return GammaMarginal(parts[0], parts[1] if len(parts) > 1 else 1.0)
+    try:
+        if kind == "exp":
+            return GammaMarginal(1.0, 1.0 / float(arg or 1.0))
+        if kind == "gamma":
+            parts = [float(p) for p in arg.split(",")]
+            return GammaMarginal(parts[0], parts[1] if len(parts) > 1 else 1.0)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad marginal spec '{spec}': {exc}") from exc
     raise argparse.ArgumentTypeError(f"unknown marginal spec '{spec}'")
 
 
@@ -34,29 +38,21 @@ def _parse_model(spec, d):
     """Model specs: exp:RATE | gamma:SHAPE,SCALE | data:FILE."""
     kind, _, arg = spec.partition(":")
     if kind == "data":
-        return None, _load_sample(arg)
-    try:
-        m = _parse_marginal(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad --model spec '{spec}': {exc}") from exc
+        return None, estimator.load_sample(arg)
+    m = _parse_marginal(spec)
     return product_gamma([m.shape] * d, [m.scale] * d), None
-
-
-def _load_sample(path):
-    """load_sample with unreadable or malformed input as a usage error."""
-    try:
-        return estimator.load_sample(path)
-    except (OSError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_grid(spec):
     """Grid spec: lo:hi:num per axis, axes separated by ';'."""
     axes = []
     for part in spec.split(";"):
-        lo, hi, num = part.split(":")
-        axes.append(np.linspace(float(lo), float(hi), int(num)))
+        try:
+            lo, hi, num = part.split(":")
+            axes.append(np.linspace(float(lo), float(hi), int(num)))
+        except ValueError:
+            raise ValueError(
+                f"bad --grid axis '{part}': expected lo:hi:num") from None
     return axes
 
 
@@ -74,11 +70,11 @@ def _resolve_bandwidth(args, data, tau, which):
     if args.rule == "plugin":
         rule = bw.plug_in_bandwidth(data, tau, which=which, stages=args.stages)
         return rule.bandwidth(data.shape[0]), f"rule {rule.kind} (C={rule.C:.6g})"
-    raise SystemExit("need --b VALUE or --rule plugin")
+    raise ValueError("need --b VALUE or --rule plugin")
 
 
 def run_estimate(args):
-    data = _load_sample(args.input)
+    data = estimator.load_sample(args.input)
     if data.shape[1] == 1 and args.tau > 0:
         data = estimator.fragment(data[:, 0], args.tau)
     d = data.shape[1]
@@ -86,7 +82,7 @@ def run_estimate(args):
     b, provenance = _resolve_bandwidth(args, data, args.tau, which)
     axes = _parse_grid(args.grid) if args.grid else _default_grid(data)
     if len(axes) != d:
-        raise SystemExit(f"grid has {len(axes)} axes, data has dimension {d}")
+        raise ValueError(f"grid has {len(axes)} axes, data has dimension {d}")
     fld = estimator.field_on_grid(
         data, axes, np.full(d, b), kind=which,
         axis=args.axis if which == "derivative" else None,
@@ -105,7 +101,7 @@ def run_bandwidth(args):
                                     stages=args.stages)
     elif args.upsilon is not None:
         if args.which != "density":
-            raise SystemExit("the mixing-aware rule applies to the density")
+            raise ValueError("the mixing-aware rule applies to the density")
         mp = MixingProfile(upsilon=args.upsilon,
                            alpha_integral=args.alpha_integral)
         rule = bw.mixing_bandwidth(model, args.tau, args.n, mp)
@@ -224,7 +220,7 @@ def main(argv=None):
         p_sim.error(f"--seed must be >= 0, got {args.seed}")
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, OSError, ValueError) as exc:
         # bad input named on the command line: one line and exit 2
         sub.choices[args.command].error(str(exc))
 

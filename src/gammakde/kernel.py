@@ -11,9 +11,7 @@ axis. The two branches agree at x = 2b where both give shape 2.
 """
 
 import numpy as np
-from scipy.special import gammaln
-
-from .special import digamma
+from scipy.special import digamma, gammaln
 
 __all__ = ["rho", "kernel_eval", "log_kernel_eval", "l_term", "kernel_grad_x"]
 

@@ -92,7 +92,7 @@ class DensityModel:
     """
 
     def __init__(self, dim, pdf, grad, hess_diag, third, mixed,
-                 quantile=None, probe=None, validate=True):
+                 quantile=None, probe=None):
         self.dim = int(dim)
         self.pdf = pdf
         self.grad = grad
@@ -100,8 +100,7 @@ class DensityModel:
         self.third = third
         self.mixed = mixed
         self.quantile = quantile
-        if validate:
-            self._validate(probe)
+        self._validate(probe)
 
     def _validate(self, probe):
         d = self.dim

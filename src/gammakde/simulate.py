@@ -11,7 +11,6 @@ Experiments are deterministic: replicate streams are counter-based
 bit-identical for any worker count.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -63,7 +62,6 @@ class ExperimentConfig:
     which: str = "density"  # or "derivative"
     bandwidth: object = None  # float or BandwidthRule
     nodes: int = 200
-    full_domain: bool = False  # integrate ISE from 0 instead of 2b
     workers: int = 1
 
     def __post_init__(self):
@@ -160,7 +158,8 @@ def truth_model(spec, tau):
 
 
 def _replicate_seed(seed, global_rep):
-    # per-replicate counter-based substream; XOR keeps streams disjoint
+    # per-replicate Philox key; XOR does not keep experiments disjoint
+    # (seed 3 replicate 1 is seed 2 replicate 0), see ROADMAP item 4
     return int(seed) ^ int(global_rep)
 
 
@@ -168,7 +167,7 @@ def _eval_domain(config, spec, d):
     # one box for the whole n grid (interior at the widest bandwidth), so
     # per-n MISE values are comparable and the rate fit is meaningful
     b_max = max(config.bandwidth_at(n) for n in config.n_grid)
-    lo = 0.0 if config.full_domain else 2.0 * b_max
+    lo = 2.0 * b_max
     hi = spec.marginal.quantile(0.999)
     if hi <= lo:
         raise ValueError("evaluation domain collapsed: bandwidth too large")
@@ -179,13 +178,9 @@ def _run_replicates(config, n_index, n, task):
     reps = config.replicates
     base = n_index * reps
     seeds = [_replicate_seed(config.seed, base + r) for r in range(reps)]
-    workers = config.workers
-    env_cap = os.environ.get("GAMMAKDE_THREADS")
-    if env_cap:
-        workers = min(workers, max(1, int(env_cap)))
-    if workers <= 1:
+    if config.workers <= 1:
         return [task(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(task, seeds))
 
 

@@ -13,12 +13,11 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from gammakde import bandwidth, simulate, theory
+from gammakde import bandwidth, simulate, theory, validation
 from gammakde.cli import main as cli_main
-from gammakde.estimator import density_at, density_partial_at, field_on_grid
-from gammakde.kernel import grad_prefactor, kernel_eval, kernel_grad_x, l_term
+from gammakde.estimator import density_at, field_on_grid
+from gammakde.kernel import kernel_eval
 from gammakde.models import GammaMarginal, product_exponential, product_gamma
 
 MC_SEED = 2024
@@ -36,42 +35,20 @@ def report(capsys):
     return _emit
 
 
-def test_01_kernel_normalization(report):
+def _timed(check):
     t0 = time.perf_counter()
-    worst = 0.0
-    for b in (0.01, 0.1, 0.5):
-        for x in (0.0, 0.5 * b, b, 2.0 * b, 1.0, 5.0):
-            upper = x + 40.0 * b + 40.0 * np.sqrt(max(x, b) * b)
-            total = quad(kernel_eval, 0.0, upper, args=(x, b), limit=200,
-                         points=[x] if 0 < x < upper else None)[0]
-            worst = max(worst, abs(total - 1.0))
-    elapsed = time.perf_counter() - t0
-    report(1, worst < 1e-8 and elapsed < 1.0,
-            f"max |mass-1| = {worst:.2e}, {elapsed:.2f}s")
+    _name, ok, detail = check()
+    return ok, detail, time.perf_counter() - t0
+
+
+def test_01_kernel_normalization(report):
+    ok, detail, elapsed = _timed(validation._check_kernel_normalization)
+    report(1, ok and elapsed < 1.0, f"{detail}, {elapsed:.2f}s")
 
 
 def test_02_gradient_consistency(report):
-    t0 = time.perf_counter()
-    rng = np.random.Generator(np.random.Philox(key=2))
-    data = rng.gamma(2.0, size=(150, 1))
-    worst = 0.0
-    for _ in range(100):
-        b = 10.0 ** rng.uniform(-2.0, -0.3)
-        x = rng.uniform(2.5 * b, 5.0)
-        t = rng.uniform(0.2, 3.0)
-        h = 1e-6 * max(x, 1.0)
-        fd = (kernel_eval(t, x + h, b) - kernel_eval(t, x - h, b)) / (2 * h)
-        if abs(fd) > 1e-12:
-            worst = max(worst,
-                        abs(kernel_grad_x(t, x, b) - fd) / abs(fd))
-        fd2 = (density_at(data, [x + h], b)
-               - density_at(data, [x - h], b)) / (2 * h)
-        got = density_partial_at(data, [x], b, axis=0)
-        if abs(fd2) > 1e-12:
-            worst = max(worst, abs(got - fd2) / abs(fd2))
-    elapsed = time.perf_counter() - t0
-    report(2, worst < 1e-5 and elapsed < 1.0,
-            f"worst relative error {worst:.2e}, {elapsed:.2f}s")
+    ok, detail, elapsed = _timed(validation._check_gradient_consistency)
+    report(2, ok and elapsed < 1.0, f"{detail}, {elapsed:.2f}s")
 
 
 def test_03_brute_force_equivalence(report):
@@ -104,14 +81,8 @@ def test_03_brute_force_equivalence(report):
 
 
 def test_04_bandwidth_constants(report):
-    t0 = time.perf_counter()
-    dens = bandwidth.density_bandwidth(product_exponential(1.0, d=1), 0, 1000)
-    deriv = bandwidth.derivative_bandwidth(product_gamma([3.0]), 0, 1000)
-    err_d = abs(dens.C - 2.0 ** 0.4)
-    err_r = abs(deriv.C - (108.0 / 35.0) ** (2.0 / 7.0))
-    elapsed = time.perf_counter() - t0
-    report(4, err_d < 1e-3 and err_r < 1e-3 and elapsed < 5.0,
-            f"|dC|={err_d:.2e}, |rC|={err_r:.2e}, {elapsed:.2f}s")
+    ok, detail, elapsed = _timed(validation._check_bandwidth_constants)
+    report(4, ok and elapsed < 5.0, f"{detail}, {elapsed:.2f}s")
 
 
 @pytest.fixture(scope="module")
@@ -200,17 +171,8 @@ def test_10_mixing_rate(report):
 
 
 def test_11_covariance_order(report):
-    m = product_exponential(1.0, d=1)
-    mp = theory.MixingProfile(upsilon=0.5, alpha_integral=1.0,
-                              alpha_sum=1.0, M=1.0)
-    ratios = []
-    for n in (10 ** 3, 10 ** 4, 10 ** 5):
-        b = n ** (-0.4)
-        i1, i2 = theory.cov_split_density(m, [1.0], b, n, 0, mp)
-        lead = theory.var_density(m, [1.0], b, n, 0).components["leading"]
-        ratios.append((i1 + i2) / lead)
-    ok = ratios[0] > ratios[1] > ratios[2]
-    report(11, ok, "ratios " + ", ".join(f"{r:.3e}" for r in ratios))
+    _name, ok, detail = validation._check_covariance_order()
+    report(11, ok, detail)
 
 
 def test_12_determinism(tmp_path, report):

@@ -6,7 +6,6 @@ committed sample, so the pin guards the whole pipeline and not just
 reproducibility.
 """
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +107,39 @@ class TestEstimate:
             main(["estimate", "--input", str(MINI),
                   "--output", str(tmp_path / "x.csv"), "--b", "0.3",
                   "--grid", "0:1:5;0:1:5"])
+
+
+EST = "estimate --input {mini} --output {out}"
+SIM = "simulate --output {out} --seed 1 --b 0.15"
+BAD_INPUT = {
+    "grid-missing-count": f"{EST} --b 0.3 --grid 0:1",
+    "grid-decreasing": f"{EST} --b 0.3 --grid 1:0:5",
+    "plugin-too-few-rows": "estimate --input {short} --output {out} "
+                           "--rule plugin",
+    "tau-too-long": "estimate --input {short} --output {out} --b 0.3 "
+                    "--tau 5",
+    "axis-out-of-range": f"{EST} --b 0.3 --which derivative --axis 3",
+    "negative-bandwidth": f"{EST} --b -1",
+    "divergent-rule": "bandwidth --which derivative --n 100 --model exp:1",
+    "zero-rate-model": "bandwidth --which density --n 100 --model exp:0",
+    "n-grid-decreasing": f"{SIM} --n-grid 100,50",
+    "one-replicate": f"{SIM} --n-grid 100,200 --replicates 1",
+}
+
+
+@pytest.mark.parametrize("spec", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_is_usage_error(tmp_path, capsys, spec):
+    short = tmp_path / "short.csv"
+    short.write_text("1.0\n2.0\n0.5\n")
+    out = tmp_path / "out.csv"
+    argv = [a.format(mini=MINI, short=short, out=out) for a in spec.split()]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gammakde {argv[0]}: error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestBandwidth:
@@ -221,7 +253,6 @@ class TestValidate:
         # bias/variance check into a FAIL and a nonzero exit code
         orig = theory._v1
         monkeypatch.setattr(theory, "_v1", lambda m, x: -orig(m, x))
-        monkeypatch.setenv("GAMMAKDE_THREADS", "4")
         rc = main(["validate"])
         out = capsys.readouterr().out
         assert rc == 1

@@ -111,12 +111,29 @@ class TestKernelEval:
         assert mean == pytest.approx(1.0, abs=1e-8)
 
 
+# mpmath.mp.dps = 50 oracle values of Psi(z)
+DIGAMMA_ORACLE = [
+    (1.0, -0.57721566490153286060651209008240243104215933593992),
+    (2.0, 0.42278433509846713939348790991759756895784066406008),
+    (10.0, 2.2517525890667211076474561638858515372650028368497),
+    (1e6, 13.815510057964190770774615403106185245602640677804),
+]
+
+
 class TestLTerm:
     def test_definition(self):
-        # ln t - ln b - Psi(rho)
-        from gammakde.special import digamma
+        # ln t - ln b - Psi(rho), rho = 10
         val = l_term(1.0, 1.0, 0.1)
-        assert val == pytest.approx(-np.log(0.1) - digamma(10.0), rel=1e-12)
+        assert val == pytest.approx(-np.log(0.1) - DIGAMMA_ORACLE[2][1],
+                                    rel=1e-12)
+
+    @pytest.mark.parametrize("z,expected", DIGAMMA_ORACLE)
+    def test_digamma_oracle(self, z, expected):
+        # t = b leaves L = -Psi(rho); rho = z on the interior branch
+        # (x = z b >= 2b), and rho = 1 on the boundary branch at x = 0
+        b = 0.25
+        x = 0.0 if z == 1.0 else z * b
+        assert l_term(b, x, b) == pytest.approx(-expected, abs=1e-13)
 
     def test_small_b_expansion(self):
         # interior: L(x, x, b) ~ b/(2x) + b^2/(12 x^2)

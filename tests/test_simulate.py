@@ -167,7 +167,6 @@ class TestMcMise:
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(
                            filter(None, [src, os.environ.get("PYTHONPATH")])))
-            env.pop("GAMMAKDE_THREADS", None)
             out = tmp_path / threads
             out.mkdir()
             subprocess.run([sys.executable, "-c", SIMULATE_LAGS, str(out)],
