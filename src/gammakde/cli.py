@@ -221,7 +221,8 @@ def main(argv=None):
     try:
         return args.func(args)
     except (argparse.ArgumentTypeError, OSError, ValueError) as exc:
-        # bad input named on the command line: one line and exit 2
+        # any of these raised while a command runs is reported as a usage
+        # error: one line and exit 2, no traceback
         sub.choices[args.command].error(str(exc))
 
 

@@ -26,7 +26,6 @@ n <= cols; beyond, it stays deterministic and differs from the one-pass
 sum only in the last bits.
 """
 
-import io
 import re
 from dataclasses import dataclass
 
@@ -299,26 +298,19 @@ def _load_fast(path, fh):
     text = fh.read()
     if "#" in text and _INLINE_COMMENT.search(text):
         return None
-    delimiter = "," if "," in line else None
-    src = fh
-    if delimiter and _INDENTED_SKIP.search(text):
-        # with a ',' delimiter loadtxt reads a blank or '#' line that
-        # starts with whitespace as one empty field
-        src = io.StringIO(_INDENTED_SKIP.sub("\n", text))
     del text
     fh.seek(0)
     try:
         # the lines before the first data line are blank, comment or header
-        return np.loadtxt(src, dtype=float, comments="#",
-                          delimiter=delimiter, skiprows=lineno - 1, ndmin=2)
+        return np.loadtxt(fh, dtype=float, comments="#",
+                          delimiter="," if "," in line else None,
+                          skiprows=lineno - 1, ndmin=2)
     except ValueError:
         return None
 
 
 # a '#' after the first non-blank character of its line
 _INLINE_COMMENT = re.compile(r"^[^\S\n]*[^#\s][^\n]*#", re.M)
-# a line break and the leading whitespace of a blank or '#' line after it
-_INDENTED_SKIP = re.compile(r"\n[^\S\n]+(?=[#\n]|\Z)")
 
 
 def _load_lines(path, fh):
