@@ -111,6 +111,32 @@ class TestEstimate:
 
 EST = "estimate --input {mini} --output {out}"
 SIM = "simulate --output {out} --seed 1 --b 0.15"
+
+# `gammakde bandwidth` runs whose concatenated output is pinned, byte for
+# byte, by tests/data/bandwidth_golden.txt
+RULE_GOLDEN = DATA / "bandwidth_golden.txt"
+RULE_RUNS = [
+    "--which density --tau 0 --n 1000 --model exp:1.0",
+    "--which density --tau 0 --n 1000 --model gamma:3.0,1.0",
+    "--which density --tau 1 --n 1000 --model gamma:3.0,1.0",
+    "--which derivative --tau 0 --n 1000 --model gamma:3.0,1.0",
+    "--which derivative --tau 1 --n 1000 --model gamma:3.0,1.0",
+    "--which density --tau 0 --n 1000 --model gamma:3.0,1.0 "
+    "--upsilon 0.5 --alpha-integral 2.0",
+    "--which density --n 100 --model data:{mini} --stages 1",
+    "--which density --n 100 --model data:{mini} --stages 2",
+    "--which derivative --n 100 --model data:{mini} --stages 1",
+    "--which derivative --n 100 --model data:{mini} --stages 2",
+]
+
+
+def rule_golden_output(capsys):
+    """Concatenated stdout of the RULE_RUNS bandwidth commands."""
+    text = []
+    for spec in RULE_RUNS:
+        assert main(["bandwidth"] + spec.format(mini=MINI).split()) == 0
+        text.append(capsys.readouterr().out)
+    return "".join(text)
 BAD_INPUT = {
     "grid-missing-count": f"{EST} --b 0.3 --grid 0:1",
     "grid-decreasing": f"{EST} --b 0.3 --grid 1:0:5",
@@ -143,6 +169,10 @@ def test_bad_input_is_usage_error(tmp_path, capsys, spec):
 
 
 class TestBandwidth:
+    def test_rule_output_golden(self, capsys):
+        got = rule_golden_output(capsys).encode()
+        assert got == RULE_GOLDEN.read_bytes()
+
     def test_density_model_rule(self, capsys):
         rc = main(["bandwidth", "--which", "density", "--tau", "0",
                    "--n", "1000", "--model", "exp:1.0"])
