@@ -5,20 +5,29 @@ derivative (e = 2/(tau+7)) estimators, a mixing-aware variant built on
 the covariance bound, and a data-driven plug-in with a moment-matched
 gamma reference and an optional pilot stage.
 
-The rule constants are ratios of density functionals over the orthant.
-The integrals carry per-axis x^(-1/2) weights, so each axis is
-integrated under the substitution x = u^2 (or a higher power for the
-mixing rule), which removes the origin singularity exactly for
+Each constant is C = [prefactor * int V dx / int B dx]^e: a variance
+functional V over a squared-bias functional B on the orthant. Both
+integrands are written once, in ``_rule_integrands``, as functions of
+the density f and its curvature sum_j x_j f_jj; the reference rules
+feed it an analytic model, and the pilot stage a kernel estimate with
+its grid second differences. ``_rule_constant`` turns the two integrals
+into (C, e) for both.
+
+The reference integrals carry per-axis x^(-1/2) weights, so each axis
+is integrated under the substitution x = u^2 (or a higher power for the
+mixing numerator), which removes the origin singularity exactly for
 integrable references and exposes genuinely divergent ones.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import estimator
 from .models import product_gamma
 from .quadrature import grid_points, trapezoid_nd
+from .theory import _TWO_SQRT_PI, _check_tau, _curvature_sum
 
 __all__ = [
     "BandwidthRule",
@@ -28,8 +37,6 @@ __all__ = [
     "mixing_bandwidth",
     "plug_in_bandwidth",
 ]
-
-_TWO_SQRT_PI = 2.0 * np.sqrt(np.pi)
 
 
 class DivergentIntegralError(ValueError):
@@ -62,124 +69,120 @@ class BandwidthRule:
         return "\n".join(lines)
 
 
-def _default_box(m, domain):
-    """(lower, upper) per-axis integration bounds for the rule integrals.
+def _power_sub_integrals(m, integrands, p, names):
+    """Integrals over model m's box after the substitution x_j = u_j^p.
 
-    With no explicit domain the box runs from the origin (under the
-    power substitution, with a divergence check) to the per-axis
-    quantile capturing all but 1e-7 of the reference mass; an explicit
-    domain is used verbatim and skips the divergence check.
+    ``integrands(x)`` maps points x of shape (..., d) to one array per
+    name, so the model is evaluated once per grid; the p u^(p-1) Jacobian
+    is applied here. The box runs from a tiny cutoff to the per-axis
+    quantile leaving out 1e-7 of the mass, and first a cutoff-sensitivity
+    check flags each integrand that diverges at the origin.
     """
-    if domain is not None:
-        lo = np.asarray([l for (l, _hi) in domain], dtype=float)
-        hi = np.asarray([h for (_lo, h) in domain], dtype=float)
-        return lo, hi
     if m.quantile is None:
-        raise ValueError(
-            "model has no quantile function; pass an explicit domain"
-        )
-    hi = np.asarray(m.quantile(1.0 - 1e-7), dtype=float)
-    return None, hi
+        raise ValueError("model has no quantile function to bound the "
+                         "rule integrals")
+    u_hi = np.asarray(m.quantile(1.0 - 1e-7), dtype=float) ** (1.0 / p)
+    d = len(u_hi)
 
-
-def _default_nodes(d):
-    return {1: 4001, 2: 801}.get(d, 301)
-
-
-def _power_sub_integral(g, upper, p, nodes, name, lower=None):
-    """Integral of g over an orthant box after the substitution x_j = u_j^p.
-
-    g receives points x of shape (..., d); the p u^(p-1) Jacobian is
-    applied here. With ``lower=None`` the box starts at a tiny cutoff and
-    a cutoff-sensitivity check flags origin divergence; with an explicit
-    per-axis ``lower`` the box starts there and no check is performed.
-    """
-    u_hi = np.asarray(upper, dtype=float) ** (1.0 / p)
-
-    def _eval(u_lo):
-        axes = [np.linspace(lo, uh, nodes) for lo, uh in zip(u_lo, u_hi)]
-        u = grid_points(axes)
-        x = u**p
-        jac = np.prod(p * u ** (p - 1.0), axis=-1)
-        vals = g(x) * jac
-        if not np.all(np.isfinite(vals)):
-            raise DivergentIntegralError(
-                f"{name}: non-finite integrand near the origin"
-            )
-        return trapezoid_nd(vals, axes)
-
-    if lower is not None:
-        return _eval(np.asarray(lower, dtype=float) ** (1.0 / p))
-
-    # Origin-divergence test: near the origin face the integrand behaves
-    # like a per-axis power u_j^a; the integral diverges iff a <= -1 on
+    # Origin-divergence test: near the origin face an integrand behaves
+    # like a per-axis power u_j^a; its integral diverges iff a <= -1 on
     # some axis. Estimate a from function values at a halved cutoff,
     # holding the other axes at mid-domain.
     cut = 1e-6 * np.min(u_hi)
-    d = len(u_hi)
     mid = 0.5 * u_hi
 
     def _w(j, uj):
         u = mid.copy()
         u[j] = uj
-        x = u**p
         jac = np.prod(p * u ** (p - 1.0))
-        return float(np.asarray(g(x[None, :])).ravel()[0]) * jac
+        return [float(np.ravel(v)[0]) * jac
+                for v in integrands(u[None, :] ** p)]
 
-    for j in range(d):
-        w_cut, w_half = _w(j, cut), _w(j, 0.5 * cut)
-        if w_cut <= 0.0 or w_half <= 0.0:
-            continue
-        a = np.log2(w_half / w_cut) / np.log2(0.5)
-        if a <= -0.999:
+    probes = [(_w(j, cut), _w(j, 0.5 * cut)) for j in range(d)]
+    for i, name in enumerate(names):
+        for w_cut, w_half in probes:
+            if w_cut[i] <= 0.0 or w_half[i] <= 0.0:
+                continue
+            if np.log2(w_half[i] / w_cut[i]) / np.log2(0.5) <= -0.999:
+                raise DivergentIntegralError(
+                    f"{name} diverges near the origin face of the domain "
+                    "(reference density too heavy at origin; a Gamma(k>=3) "
+                    "reference keeps it finite)"
+                )
+
+    nodes = {1: 4001, 2: 801}.get(d, 301)
+    axes = [np.linspace(0.25 * cut, uh, nodes) for uh in u_hi]
+    # the Jacobian is an outer product of per-axis factors, and the grid
+    # is never held in u: only x and the integrands take full-grid memory
+    jac = reduce(np.multiply.outer, [p * a ** (p - 1.0) for a in axes])
+    values = integrands(grid_points([a**p for a in axes]))
+    out = []
+    for name, vals in zip(names, values):
+        vals = vals * jac
+        if not np.all(np.isfinite(vals)):
             raise DivergentIntegralError(
-                f"{name} diverges near the origin face of the domain "
-                "(reference density too heavy at origin; a Gamma(k>=3) "
-                "reference keeps it finite)"
+                f"{name}: non-finite integrand near the origin"
             )
-    return _eval(np.full(len(u_hi), 0.25 * cut))
+        out.append(trapezoid_nd(vals, axes))
+    return out
 
 
-def _curvature_sq(m):
-    def g(x):
-        h = np.asarray(m.hess_diag(x))
-        return np.sum(x * h, axis=-1) ** 2
-    return g
+def _rule_integrands(which, x, f, curv):
+    """Numerator and denominator integrands of the density or derivative
+    rule at points x, from the density f and curv = sum_j x_j f_jj.
+
+    density:    f prod_j x_j^(-1/2) / (2 sqrt(pi))^d  and  curv^2;
+    derivative: f prod_j x_j^(-1/2) / x_n  and  (f/(3 x_n^2) + curv/x_n)^2.
+    """
+    root = np.prod(np.sqrt(x), axis=-1)
+    if which == "density":
+        return f / _TWO_SQRT_PI ** x.shape[-1] / root, curv**2
+    xn = x[..., -1]
+    return f / xn / root, (f / (3.0 * xn**2) + curv / xn) ** 2
 
 
-def density_bandwidth(m, tau, n, domain=None, nodes=None):
+def _rule_constant(which, tau, num, den):
+    """(C, e) of the density or derivative rule from its two integrals."""
+    if which == "density":
+        e = 2.0 / (5.0 + tau)
+        pref = tau + 1.0
+    else:
+        e = 2.0 / (tau + 7.0)
+        pref = (tau + 3.0) / (2.0**tau * np.pi ** ((tau + 1.0) / 2.0))
+    return (pref * num / den) ** e, e
+
+
+def _reference_integrals(m, which):
+    """(numerator, denominator) of a rule for an analytic model."""
+    def integrands(x):
+        return _rule_integrands(which, x, np.asarray(m.pdf(x)),
+                                _curvature_sum(m, x))
+    return _power_sub_integrals(
+        m, integrands, 2.0,
+        [f"{which}-rule numerator", f"{which}-rule denominator"],
+    )
+
+
+def _reference_rule(m, tau, n, which, kind):
+    tau = _check_tau(m, tau)
+    num, den = _reference_integrals(m, which)
+    C, e = _rule_constant(which, tau, num, den)
+    return BandwidthRule(
+        kind=kind, C=C, e=e,
+        metadata={"numerator": num, "denominator": den, "tau": tau, "n": n},
+    )
+
+
+def density_bandwidth(m, tau, n):
     """Reference rule for the density estimate.
 
     C = [ (tau+1) * int prod_j (x_j^(-1/2)/(2 sqrt(pi))) f dx
           / int (sum_j x_j f_jj)^2 dx ]^(2/(5+tau)),  e = 2/(5+tau).
     """
-    tau = int(tau)
-    if tau != m.dim - 1:
-        raise ValueError(f"tau={tau} inconsistent with model dimension {m.dim}")
-    d = m.dim
-    lower, upper = _default_box(m, domain)
-    nodes = nodes or _default_nodes(d)
-
-    def num_integrand(x):
-        # x^(-1/2) weights cancel against the sqrt-substitution Jacobian:
-        # fold them analytically by dividing out prod sqrt(x)
-        return np.asarray(m.pdf(x)) / _TWO_SQRT_PI**d / np.prod(
-            np.sqrt(x), axis=-1
-        )
-
-    num = _power_sub_integral(num_integrand, upper, 2.0, nodes,
-                              "density-rule numerator", lower=lower)
-    den = _power_sub_integral(_curvature_sq(m), upper, 2.0, nodes,
-                              "density-rule denominator", lower=lower)
-    e = 2.0 / (5.0 + tau)
-    C = ((tau + 1.0) * num / den) ** e
-    return BandwidthRule(
-        kind="DensityRef", C=C, e=e,
-        metadata={"numerator": num, "denominator": den, "tau": tau, "n": n},
-    )
+    return _reference_rule(m, tau, n, "density", "DensityRef")
 
 
-def derivative_bandwidth(m, tau, n, domain=None, nodes=None):
+def derivative_bandwidth(m, tau, n):
     """Reference rule for the derivative estimate (last coordinate).
 
     C = [ (tau+3)/(2^tau pi^((tau+1)/2))
@@ -188,42 +191,10 @@ def derivative_bandwidth(m, tau, n, domain=None, nodes=None):
     e = 2/(tau+7). References too heavy at the origin (for example a
     unit exponential) make the numerator diverge and are rejected.
     """
-    tau = int(tau)
-    if tau != m.dim - 1:
-        raise ValueError(f"tau={tau} inconsistent with model dimension {m.dim}")
-    d = m.dim
-    lower, upper = _default_box(m, domain)
-    nodes = nodes or _default_nodes(d)
-
-    def num_integrand(x):
-        return (
-            np.asarray(m.pdf(x))
-            / x[..., -1]
-            / np.prod(np.sqrt(x), axis=-1)
-        )
-
-    def den_integrand(x):
-        xn = x[..., -1]
-        h = np.asarray(m.hess_diag(x))
-        return (
-            np.asarray(m.pdf(x)) / (3.0 * xn**2)
-            + np.sum(x * h, axis=-1) / xn
-        ) ** 2
-
-    num = _power_sub_integral(num_integrand, upper, 2.0, nodes,
-                              "derivative-rule numerator", lower=lower)
-    den = _power_sub_integral(den_integrand, upper, 2.0, nodes,
-                              "derivative-rule denominator", lower=lower)
-    e = 2.0 / (tau + 7.0)
-    pref = (tau + 3.0) / (2.0**tau * np.pi ** ((tau + 1.0) / 2.0))
-    C = (pref * num / den) ** e
-    return BandwidthRule(
-        kind="DerivativeRef", C=C, e=e,
-        metadata={"numerator": num, "denominator": den, "tau": tau, "n": n},
-    )
+    return _reference_rule(m, tau, n, "derivative", "DerivativeRef")
 
 
-def mixing_bandwidth(m, tau, n, mp, domain=None, nodes=None):
+def mixing_bandwidth(m, tau, n, mp):
     """Mixing-aware rule balancing bias^2 against the covariance bound.
 
     b = [ (tau+1)(upsilon+1) ((3u-1)/(2-2u))^(1-u)
@@ -232,12 +203,11 @@ def mixing_bandwidth(m, tau, n, mp, domain=None, nodes=None):
 
     The exponent makes the bandwidth shrink with n and is pinned by
     first-order optimality of the bias^2-plus-covariance objective (the
-    reciprocal power would make b grow). upsilon <= 1/3 is rejected (the bound's leading factor changes sign
-    there and the fractional power leaves the reals).
+    reciprocal power would make b grow). upsilon <= 1/3 is rejected (the
+    bound's leading factor changes sign there and the fractional power
+    leaves the reals). The denominator is the density rule's.
     """
-    tau = int(tau)
-    if tau != m.dim - 1:
-        raise ValueError(f"tau={tau} inconsistent with model dimension {m.dim}")
+    tau = _check_tau(m, tau)
     u = mp.upsilon
     if u <= 1.0 / 3.0:
         raise ValueError(
@@ -245,23 +215,17 @@ def mixing_bandwidth(m, tau, n, mp, domain=None, nodes=None):
             "the covariance bound changes sign at 1/3 and its fractional "
             "power is complex below it"
         )
-    d = m.dim
-    lower, upper = _default_box(m, domain)
-    nodes = nodes or _default_nodes(d)
-
     d_coef = 2.0 * (2.0 * np.pi) ** (-(tau * (u + 1.0) + u - 1.0) / 2.0)
 
-    def num_integrand(x):
+    def integrands(x):
         w = np.prod(x ** (-(u + 1.0) / 2.0), axis=-1)
-        return d_coef * w * np.asarray(m.pdf(x)) ** (1.0 - u)
+        return [d_coef * w * np.asarray(m.pdf(x)) ** (1.0 - u)]
 
     # per-axis substitution x = v^p with p = 2/(1-u) flattens the
     # x^(-(u+1)/2) weight exactly
-    p = 2.0 / (1.0 - u)
-    num = _power_sub_integral(num_integrand, upper, p, nodes,
-                              "mixing-rule numerator", lower=lower)
-    den = _power_sub_integral(_curvature_sq(m), upper, 2.0, nodes,
-                              "mixing-rule denominator", lower=lower)
+    [num] = _power_sub_integrals(m, integrands, 2.0 / (1.0 - u),
+                                 ["mixing-rule numerator"])
+    den = _reference_integrals(m, "density")[1]
 
     e = 2.0 / (tau * (u + 1.0) + u + 5.0)
     bracket = (
@@ -304,7 +268,7 @@ def _moment_matched_reference(data, min_shape):
     return product_gamma(floored, scales), bool(np.any(shapes < min_shape))
 
 
-def _pilot_functionals(data, b, which, nodes=None):
+def _pilot_functionals(data, b, which):
     """Rule integrals re-estimated from a pilot gamma-kernel density.
 
     The pilot estimate is evaluated on an interior tensor grid
@@ -312,32 +276,23 @@ def _pilot_functionals(data, b, which, nodes=None):
     grid differences; the boundary strip is excluded because the pilot
     and the expansions are both unreliable there.
     """
-    n, d = data.shape
-    nodes = nodes or {1: 400, 2: 60}.get(d, 25)
+    d = data.shape[1]
+    nodes = {1: 400, 2: 60}.get(d, 25)
     lo = 2.0 * b
     hi = np.quantile(data, 0.999, axis=0)
     if np.any(hi <= lo):
         raise ValueError("pilot grid collapsed: bandwidth too large for data")
     axes = [np.linspace(lo, hi[j], nodes) for j in range(d)]
-    fld = estimator.field_on_grid(data, axes, np.full(d, b), kind="density")
-    f = fld.values
+    f = estimator.field_on_grid(data, axes, np.full(d, b),
+                                kind="density").values
     pts = grid_points(axes)
-
-    hess = []
-    for j in range(d):
-        g1 = np.gradient(f, axes[j], axis=j)
-        hess.append(np.gradient(g1, axes[j], axis=j))
-    curv = sum(pts[..., j] * hess[j] for j in range(d))
-
-    w = np.prod(pts**-0.5, axis=-1)
-    if which == "density":
-        num = trapezoid_nd(w / _TWO_SQRT_PI**d * f, axes)
-        den = trapezoid_nd(curv**2, axes)
-    else:
-        xn = pts[..., -1]
-        num = trapezoid_nd(w * f / xn, axes)
-        den = trapezoid_nd((f / (3.0 * xn**2) + curv / xn) ** 2, axes)
-    return num, den
+    curv = sum(
+        pts[..., j]
+        * np.gradient(np.gradient(f, axes[j], axis=j), axes[j], axis=j)
+        for j in range(d)
+    )
+    return [trapezoid_nd(v, axes)
+            for v in _rule_integrands(which, pts, f, curv)]
 
 
 def plug_in_bandwidth(sample, tau, which="density", stages=1):
@@ -366,11 +321,9 @@ def plug_in_bandwidth(sample, tau, which="density", stages=1):
     min_shape = 1.6 if which == "density" else 2.6
     ref, floored = _moment_matched_reference(data, min_shape)
     if which == "density":
-        rule = density_bandwidth(ref, tau, n)
-        kind = "DensityPlugIn"
+        rule, kind = density_bandwidth(ref, tau, n), "DensityPlugIn"
     else:
-        rule = derivative_bandwidth(ref, tau, n)
-        kind = "DerivativePlugIn"
+        rule, kind = derivative_bandwidth(ref, tau, n), "DerivativePlugIn"
     rule = BandwidthRule(kind=kind, C=rule.C, e=rule.e,
                          metadata=dict(rule.metadata, stage=0,
                                        shape_floored=floored))
@@ -379,13 +332,9 @@ def plug_in_bandwidth(sample, tau, which="density", stages=1):
 
     b0 = rule.bandwidth(n)
     num, den = _pilot_functionals(data, b0, which)
-    if which == "density":
-        C = ((tau + 1.0) * num / den) ** rule.e
-    else:
-        pref = (tau + 3.0) / (2.0**tau * np.pi ** ((tau + 1.0) / 2.0))
-        C = (pref * num / den) ** rule.e
+    C, e = _rule_constant(which, tau, num, den)
     return BandwidthRule(
-        kind=kind, C=C, e=rule.e,
+        kind=kind, C=C, e=e,
         metadata={"numerator": num, "denominator": den, "tau": tau,
                   "stage": 1, "pilot_bandwidth": b0},
     )

@@ -74,19 +74,25 @@ def _resolve_bandwidth(args, data, tau, which):
 
 
 def run_estimate(args):
+    if args.axis is not None and args.which != "derivative":
+        raise ValueError("--axis applies only to --which derivative")
+    if args.stages != 1 and args.rule != "plugin":
+        raise ValueError("--stages applies only to --rule plugin")
     data = estimator.load_sample(args.input)
     if data.shape[1] == 1 and args.tau > 0:
         data = estimator.fragment(data[:, 0], args.tau)
+    elif args.tau > 0 and data.shape[1] != args.tau + 1:
+        raise ValueError(
+            f"--tau {args.tau} needs a one-column series or "
+            f"{args.tau + 1} columns; the data has {data.shape[1]}")
     d = data.shape[1]
     which = args.which
     b, provenance = _resolve_bandwidth(args, data, args.tau, which)
     axes = _parse_grid(args.grid) if args.grid else _default_grid(data)
     if len(axes) != d:
         raise ValueError(f"grid has {len(axes)} axes, data has dimension {d}")
-    fld = estimator.field_on_grid(
-        data, axes, np.full(d, b), kind=which,
-        axis=args.axis if which == "derivative" else None,
-    )
+    fld = estimator.field_on_grid(data, axes, np.full(d, b), kind=which,
+                                  axis=args.axis)
     estimator.save_field(fld, args.output)
     print(f"bandwidth={b:.16e} provenance={provenance}")
     print(f"wrote {fld.values.size} nodes to {args.output}")
@@ -97,8 +103,13 @@ def run_bandwidth(args):
     d = args.tau + 1
     model, data = _parse_model(args.model, d)
     if data is not None:
+        if args.upsilon is not None:
+            raise ValueError("--upsilon applies only to exp: and gamma: "
+                             "models")
         rule = bw.plug_in_bandwidth(data, args.tau, which=args.which,
                                     stages=args.stages)
+    elif args.stages != 1:
+        raise ValueError("--stages applies only to data: models")
     elif args.upsilon is not None:
         if args.which != "density":
             raise ValueError("the mixing-aware rule applies to the density")
@@ -172,8 +183,9 @@ def main(argv=None):
     p_est.add_argument("--which", choices=["density", "derivative"],
                        default="density")
     p_est.add_argument("--axis", type=int, default=None)
-    p_est.add_argument("--b", type=float, default=None)
-    p_est.add_argument("--rule", choices=["plugin"], default=None)
+    chosen = p_est.add_mutually_exclusive_group()
+    chosen.add_argument("--b", type=float, default=None)
+    chosen.add_argument("--rule", choices=["plugin"], default=None)
     p_est.add_argument("--stages", type=int, choices=[1, 2], default=1)
     p_est.add_argument("--grid", default=None,
                        help="lo:hi:num per axis, ';'-separated")
@@ -213,9 +225,9 @@ def main(argv=None):
     p_val.set_defaults(func=run_validate)
 
     args = parser.parse_args(argv)
-    if args.command == "bandwidth" and args.upsilon is not None \
-            and args.alpha_integral is None:
-        p_bw.error("--upsilon needs --alpha-integral")
+    if args.command == "bandwidth" \
+            and (args.upsilon is None) != (args.alpha_integral is None):
+        p_bw.error("--upsilon and --alpha-integral go together")
     if args.command == "simulate" and args.seed < 0:
         p_sim.error(f"--seed must be >= 0, got {args.seed}")
     try:

@@ -174,7 +174,7 @@ def _eval_domain(config, spec, d):
     return [(lo, hi)] * d
 
 
-def _run_replicates(config, n_index, n, task):
+def _run_replicates(config, n_index, task):
     reps = config.replicates
     base = n_index * reps
     seeds = [_replicate_seed(config.seed, base + r) for r in range(reps)]
@@ -209,7 +209,7 @@ def mc_point_stats(config, x):
                 return estimator.density_at(data, x, _b)
             return estimator.density_partial_at(data, x, _b, d - 1)
 
-        vals = np.array(_run_replicates(config, n_index, n, one))
+        vals = np.array(_run_replicates(config, n_index, one))
         r = len(vals)
         mean = float(vals.mean())
         var = float(vals.var(ddof=1))
@@ -256,7 +256,7 @@ def mc_mise(config):
             )
             return trapezoid_nd((fld.values - _true) ** 2, _axes)
 
-        ises = _run_replicates(config, n_index, n, one)
+        ises = _run_replicates(config, n_index, one)
         kept = []
         dropped = 0
         for r, ise in enumerate(ises):

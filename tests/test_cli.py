@@ -111,6 +111,52 @@ class TestEstimate:
 
 EST = "estimate --input {mini} --output {out}"
 SIM = "simulate --output {out} --seed 1 --b 0.15"
+BAD_INPUT = {
+    "grid-missing-count": f"{EST} --b 0.3 --grid 0:1",
+    "grid-decreasing": f"{EST} --b 0.3 --grid 1:0:5",
+    "plugin-too-few-rows": "estimate --input {short} --output {out} "
+                           "--rule plugin",
+    "tau-too-long": "estimate --input {short} --output {out} --b 0.3 "
+                    "--tau 5",
+    "axis-out-of-range": f"{EST} --b 0.3 --which derivative --axis 3",
+    "negative-bandwidth": f"{EST} --b -1",
+    "divergent-rule": "bandwidth --which derivative --n 100 --model exp:1",
+    "zero-rate-model": "bandwidth --which density --n 100 --model exp:0",
+    "n-grid-decreasing": f"{SIM} --n-grid 100,50",
+    "one-replicate": f"{SIM} --n-grid 100,200 --replicates 1",
+    # flags that would have no effect
+    "tau-vs-columns": "estimate --input {pair} --output {out} --b 0.2 "
+                      "--tau 3",
+    "axis-without-derivative": f"{EST} --b 0.3 --axis 0",
+    "stages-without-plugin": f"{EST} --b 0.3 --stages 2",
+    "b-with-plugin": f"{EST} --b 0.3 --rule plugin",
+    "stages-with-model": "bandwidth --which density --n 100 "
+                         "--model gamma:3 --stages 2",
+    "upsilon-with-data": "bandwidth --which density --n 100 "
+                         "--model data:{mini} --upsilon 0.5 "
+                         "--alpha-integral 2",
+    "alpha-without-upsilon": "bandwidth --which density --n 100 "
+                             "--model gamma:3 --alpha-integral 2",
+}
+
+
+@pytest.mark.parametrize("spec", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_is_usage_error(tmp_path, capsys, spec):
+    short = tmp_path / "short.csv"
+    short.write_text("1.0\n2.0\n0.5\n")
+    pair = tmp_path / "pair.csv"
+    pair.write_text("1.0,2.0\n2.0,1.0\n0.5,0.7\n")
+    out = tmp_path / "out.csv"
+    argv = [a.format(mini=MINI, short=short, pair=pair, out=out)
+            for a in spec.split()]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"gammakde {argv[0]}: error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
 
 # `gammakde bandwidth` runs whose concatenated output is pinned, byte for
 # byte, by tests/data/bandwidth_golden.txt
@@ -130,48 +176,13 @@ RULE_RUNS = [
 ]
 
 
-def rule_golden_output(capsys):
-    """Concatenated stdout of the RULE_RUNS bandwidth commands."""
-    text = []
-    for spec in RULE_RUNS:
-        assert main(["bandwidth"] + spec.format(mini=MINI).split()) == 0
-        text.append(capsys.readouterr().out)
-    return "".join(text)
-BAD_INPUT = {
-    "grid-missing-count": f"{EST} --b 0.3 --grid 0:1",
-    "grid-decreasing": f"{EST} --b 0.3 --grid 1:0:5",
-    "plugin-too-few-rows": "estimate --input {short} --output {out} "
-                           "--rule plugin",
-    "tau-too-long": "estimate --input {short} --output {out} --b 0.3 "
-                    "--tau 5",
-    "axis-out-of-range": f"{EST} --b 0.3 --which derivative --axis 3",
-    "negative-bandwidth": f"{EST} --b -1",
-    "divergent-rule": "bandwidth --which derivative --n 100 --model exp:1",
-    "zero-rate-model": "bandwidth --which density --n 100 --model exp:0",
-    "n-grid-decreasing": f"{SIM} --n-grid 100,50",
-    "one-replicate": f"{SIM} --n-grid 100,200 --replicates 1",
-}
-
-
-@pytest.mark.parametrize("spec", BAD_INPUT.values(), ids=BAD_INPUT.keys())
-def test_bad_input_is_usage_error(tmp_path, capsys, spec):
-    short = tmp_path / "short.csv"
-    short.write_text("1.0\n2.0\n0.5\n")
-    out = tmp_path / "out.csv"
-    argv = [a.format(mini=MINI, short=short, out=out) for a in spec.split()]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"gammakde {argv[0]}: error:" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
 class TestBandwidth:
     def test_rule_output_golden(self, capsys):
-        got = rule_golden_output(capsys).encode()
-        assert got == RULE_GOLDEN.read_bytes()
+        text = []
+        for spec in RULE_RUNS:
+            assert main(["bandwidth"] + spec.format(mini=MINI).split()) == 0
+            text.append(capsys.readouterr().out)
+        assert "".join(text).encode() == RULE_GOLDEN.read_bytes()
 
     def test_density_model_rule(self, capsys):
         rc = main(["bandwidth", "--which", "density", "--tau", "0",
