@@ -20,6 +20,6 @@ field = field_on_grid(data, [grid], b, kind="density")
 
 print(f"n = {n}, bandwidth = {b:.4f}")
 print(f"{'x':>6} {'estimate':>10} {'truth':>10} {'rel err':>9}")
-for (x,), fhat in field.nodes():
+for x, fhat in zip(field.axes[0], field.values):
     f = np.exp(-x)
     print(f"{x:6.2f} {fhat:10.4f} {f:10.4f} {fhat / f - 1.0:9.1%}")

@@ -76,8 +76,13 @@ def _power_sub_integrals(m, integrands, p, names):
     name, so the model is evaluated once per grid; the p u^(p-1) Jacobian
     is applied here. The box runs from a tiny cutoff to the per-axis
     quantile leaving out 1e-7 of the mass, and first a cutoff-sensitivity
-    check flags each integrand that diverges at the origin.
+    check flags each integrand that diverges at the origin. The grid has
+    301 nodes per axis from d = 3 on, so d >= 4 (8e9 nodes) is refused
+    before anything is built.
     """
+    if m.dim > 3:
+        raise ValueError("rule integrals support at most 3 dimensions "
+                         f"(tau <= 2), got d={m.dim}")
     if m.quantile is None:
         raise ValueError("model has no quantile function to bound the "
                          "rule integrals")

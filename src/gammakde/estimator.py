@@ -26,6 +26,7 @@ n <= cols; beyond, it stays deterministic and differs from the one-pass
 sum only in the last bits.
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -67,12 +68,6 @@ class FieldOnGrid:
     axes: list
     values: np.ndarray
     kind: str
-
-    def nodes(self):
-        """Iterate (coordinate-tuple, value) over all grid nodes."""
-        for idx in np.ndindex(self.values.shape):
-            coords = tuple(self.axes[j][idx[j]] for j in range(len(self.axes)))
-            yield coords, self.values[idx]
 
 
 @dataclass
@@ -331,8 +326,14 @@ def _load_lines(path, fh):
 
 
 def save_field(field, path):
-    """Write a FieldOnGrid as delimited text: coordinates then value per line."""
+    """Write a FieldOnGrid as delimited text: coordinates then value per line.
+
+    Nodes run in C order (last axis fastest); each coordinate and each
+    value is formatted once.
+    """
+    coords = [[f"{c:.16e}," for c in np.asarray(a).tolist()]
+              for a in field.axes]
+    values = field.values.ravel().tolist()
     with open(path, "w") as fh:
-        for coords, value in field.nodes():
-            cells = [f"{c:.16e}" for c in coords] + [f"{value:.16e}"]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines("".join(cells) + f"{v:.16e}\n"
+                      for cells, v in zip(itertools.product(*coords), values))

@@ -87,8 +87,9 @@ class DensityModel:
     mixed(x, a, j) -> (...,)      d^2 f / dx_a dx_j
     quantile(q) -> (d,) or None   per-axis marginal quantiles
 
-    Derivatives are validated against finite differences of pdf on a
-    probe grid at construction (relative 1e-4).
+    At construction grad is checked against central finite differences
+    of pdf on a probe grid, within 1e-4 relative plus 1e-7 absolute; the
+    higher derivatives are not checked.
     """
 
     def __init__(self, dim, pdf, grad, hess_diag, third, mixed,

@@ -61,7 +61,6 @@ class ExperimentConfig:
     seed: int
     which: str = "density"  # or "derivative"
     bandwidth: object = None  # float or BandwidthRule
-    nodes: int = 200
     workers: int = 1
 
     def __post_init__(self):
@@ -159,19 +158,20 @@ def truth_model(spec, tau):
 
 def _replicate_seed(seed, global_rep):
     # per-replicate Philox key; XOR does not keep experiments disjoint
-    # (seed 3 replicate 1 is seed 2 replicate 0), see ROADMAP item 4
+    # (seed 3 replicate 1 is seed 2 replicate 0), see the replicate-stream
+    # entry under "Known defects" in ROADMAP.md
     return int(seed) ^ int(global_rep)
 
 
-def _eval_domain(config, spec, d):
+def _ise_axes(config):
     # one box for the whole n grid (interior at the widest bandwidth), so
     # per-n MISE values are comparable and the rate fit is meaningful
-    b_max = max(config.bandwidth_at(n) for n in config.n_grid)
-    lo = 2.0 * b_max
-    hi = spec.marginal.quantile(0.999)
+    d = config.tau + 1
+    lo = 2.0 * max(config.bandwidth_at(n) for n in config.n_grid)
+    hi = config.process.marginal.quantile(0.999)
     if hi <= lo:
         raise ValueError("evaluation domain collapsed: bandwidth too large")
-    return [(lo, hi)] * d
+    return tensor_axes([(lo, hi)] * d, {1: 200, 2: 60}.get(d, 25))
 
 
 def _run_replicates(config, n_index, task):
@@ -184,32 +184,46 @@ def _run_replicates(config, n_index, task):
         return list(pool.map(task, seeds))
 
 
-def mc_point_stats(config, x):
-    """Empirical bias and variance of the estimator at a point, per n."""
-    spec = config.process
-    d = config.tau + 1
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    truth = truth_model(spec, config.tau)
+def _true_values(config, axes):
+    """The true density or derivative (along the last axis) on a grid."""
+    truth = truth_model(config.process, config.tau)
+    pts = grid_points(axes)
     if config.which == "density":
-        true_val = float(truth.pdf(x))
-    else:
-        true_val = float(np.asarray(truth.grad(x))[-1])
+        return np.asarray(truth.pdf(pts))
+    return np.asarray(truth.grad(pts))[..., -1]
 
-    out = []
+
+def _replicate_runs(config, axes, reduce):
+    """Per n: n, b and ``reduce`` of each replicate's field on ``axes``."""
     for n_index, n in enumerate(config.n_grid):
         b = config.bandwidth_at(n)
-        if np.any(x < 2.0 * b):
-            raise ValueError(f"x must be interior (all coords >= 2b = {2*b})")
-        bvec = np.full(d, b)
+        bvec = np.full(config.tau + 1, b)
 
-        def one(seed, _b=bvec, _n=n):
-            series = gen_series(spec, _n + config.tau, seed)
+        def one(seed):
+            series = gen_series(config.process, n + config.tau, seed)
             data = estimator.fragment(series, config.tau)
-            if config.which == "density":
-                return estimator.density_at(data, x, _b)
-            return estimator.density_partial_at(data, x, _b, d - 1)
+            return reduce(estimator.field_on_grid(
+                data, axes, bvec, kind=config.which).values)
 
-        vals = np.array(_run_replicates(config, n_index, one))
+        yield n, b, _run_replicates(config, n_index, one)
+
+
+def mc_point_stats(config, x):
+    """Empirical bias and variance of the estimator at a point, per n.
+
+    The point is evaluated as a one-node grid.
+    """
+    x = estimator._as_point(x, config.tau + 1)
+    b_max = max(config.bandwidth_at(n) for n in config.n_grid)
+    if np.any(x < 2.0 * b_max):
+        raise ValueError(
+            f"x must be interior (all coords >= 2b = {2 * b_max})")
+    axes = [np.array([xj]) for xj in x]
+    true_val = _true_values(config, axes).item()
+
+    out = []
+    for n, b, vals in _replicate_runs(config, axes, np.ndarray.item):
+        vals = np.array(vals)
         r = len(vals)
         mean = float(vals.mean())
         var = float(vals.var(ddof=1))
@@ -230,44 +244,19 @@ def mc_mise(config):
     interior box [2b, q_0.999]^d. Replicates with non-finite quadrature
     are excluded and counted.
     """
-    spec = config.process
-    d = config.tau + 1
-    truth = truth_model(spec, config.tau)
-    nodes = config.nodes if d == 1 else {2: 60}.get(d, 25)
+    axes = _ise_axes(config)
+    true_vals = _true_values(config, axes)
+
+    def ise_of(values):
+        return trapezoid_nd((values - true_vals) ** 2, axes)
 
     result = ExperimentResult(which=config.which)
-    domain = _eval_domain(config, spec, d)
-    axes = tensor_axes(domain, nodes)
-    pts = grid_points(axes)
-    if config.which == "density":
-        true_vals = np.asarray(truth.pdf(pts))
-    else:
-        true_vals = np.asarray(truth.grad(pts))[..., -1]
-    for n_index, n in enumerate(config.n_grid):
-        b = config.bandwidth_at(n)
-        bvec = np.full(d, b)
-
-        def one(seed, _axes=axes, _true=true_vals, _b=bvec, _n=n):
-            series = gen_series(spec, _n + config.tau, seed)
-            data = estimator.fragment(series, config.tau)
-            fld = estimator.field_on_grid(
-                data, _axes, _b, kind=config.which,
-                axis=d - 1 if config.which == "derivative" else None,
-            )
-            return trapezoid_nd((fld.values - _true) ** 2, _axes)
-
-        ises = _run_replicates(config, n_index, one)
-        kept = []
-        dropped = 0
-        for r, ise in enumerate(ises):
-            if np.isfinite(ise):
-                result.records.append((n, r, float(ise)))
-                kept.append(ise)
-            else:
-                dropped += 1
-        if dropped:
-            result.excluded[n] = dropped
-        kept = np.asarray(kept)
+    for n, _b, ises in _replicate_runs(config, axes, ise_of):
+        rows = [(n, r, ise) for r, ise in enumerate(ises) if np.isfinite(ise)]
+        result.records += rows
+        if len(rows) < len(ises):
+            result.excluded[n] = len(ises) - len(rows)
+        kept = np.array([ise for _n, _r, ise in rows])
         result.summary.append((
             n,
             float(kept.mean()),

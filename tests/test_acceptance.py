@@ -9,6 +9,7 @@ the log regardless of verbosity. The Monte Carlo criteria use fixed
 seeds; runtimes are asserted where the criterion includes one.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -68,7 +69,8 @@ def test_03_brute_force_equivalence(report):
             worst = max(worst, abs(got - naive) / max(abs(naive), 1e-300))
         axes = [np.linspace(0.2, 2.0, 3) for _ in range(d)]
         fld = field_on_grid(data, axes, b, kind="density")
-        for coords, value in fld.nodes():
+        for coords, value in zip(itertools.product(*fld.axes),
+                                 fld.values.ravel()):
             naive = np.mean([
                 np.prod([kernel_eval(row[j], coords[j], b[j])
                          for j in range(d)])

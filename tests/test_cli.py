@@ -137,6 +137,12 @@ BAD_INPUT = {
                          "--alpha-integral 2",
     "alpha-without-upsilon": "bandwidth --which density --n 100 "
                              "--model gamma:3 --alpha-integral 2",
+    # rules at tau >= 3 would need a 301^4-node grid
+    "rule-tau-3": "bandwidth --which density --tau 3 --n 1000 "
+                  "--model gamma:3.0,1.0",
+    "plugin-tau-3": f"{EST} --rule plugin --tau 3",
+    "simulate-rule-tau-3": "simulate --output {out} --seed 1 --tau 3 "
+                           "--n-grid 100,200 --marginal gamma:3.0,1.0",
 }
 
 

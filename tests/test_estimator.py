@@ -5,6 +5,7 @@ one coordinate at a time, without log-space accumulation or shared
 kernel matrices. Agreement is required to near machine precision.
 """
 
+import itertools
 import tracemalloc
 import warnings
 
@@ -13,6 +14,7 @@ import pytest
 
 from gammakde import estimator
 from gammakde.estimator import (
+    FieldOnGrid,
     as_sample,
     density_at,
     density_partial_at,
@@ -53,6 +55,11 @@ def _naive_partial_terms(data, x, b, axis):
 
 def _naive_partial(data, x, b, axis):
     return _naive_partial_terms(data, x, b, axis).sum() / data.shape[0]
+
+
+def _nodes(field):
+    """(coordinates, value) of each grid node, last axis fastest."""
+    return zip(itertools.product(*field.axes), field.values.ravel())
 
 
 def _sample(d, n=200, seed=31):
@@ -143,7 +150,7 @@ class TestDensityPartialAt:
         axes = [np.array([1.0]), np.array([0.0, 0.15, 1.0])]
         field = field_on_grid(data, axes, b, kind="derivative", axis=1)
         assert np.all(np.isfinite(field.values))
-        for coords, value in field.nodes():
+        for coords, value in _nodes(field):
             assert value == pytest.approx(
                 density_partial_at(data, list(coords), b, 1), rel=1e-12)
         # zero on the other axis is an ordinary kernel argument
@@ -196,7 +203,7 @@ class TestFieldOnGrid:
         axes = [np.linspace(0.0, 3.0, 4 + j) for j in range(d)]
         b = 0.15
         field = field_on_grid(data, axes, b, kind="density")
-        for coords, value in field.nodes():
+        for coords, value in _nodes(field):
             assert value == pytest.approx(
                 density_at(data, list(coords), b), rel=1e-12, abs=1e-300)
 
@@ -205,7 +212,7 @@ class TestFieldOnGrid:
         data = _sample(d, n=60)
         axes = [np.linspace(0.0, 3.0, 4) for _ in range(d)]
         field = field_on_grid(data, axes, 0.15, kind="derivative", axis=axis)
-        for coords, value in field.nodes():
+        for coords, value in _nodes(field):
             assert value == pytest.approx(
                 density_partial_at(data, list(coords), 0.15, axis),
                 rel=1e-12, abs=1e-300)
@@ -221,7 +228,7 @@ class TestFieldOnGrid:
         axes = [np.linspace(0.0, 3.0, 3 + j) for j in range(d)]
         b = np.linspace(0.1, 0.2, d)
         field = field_on_grid(data, axes, b, kind=kind, axis=axis)
-        for coords, value in field.nodes():
+        for coords, value in _nodes(field):
             if kind == "density":
                 terms = np.array([_naive_density(row[None, :], coords, b)
                                   for row in data])
@@ -427,10 +434,38 @@ class TestIO:
         save_field(field, p)
         rows = np.loadtxt(p, delimiter=",")
         assert rows.shape == (12, 3)
-        flat = list(field.nodes())
-        for row, (coords, value) in zip(rows, flat):
+        for row, (coords, value) in zip(rows, _nodes(field)):
             np.testing.assert_allclose(row[:2], coords, rtol=1e-15)
             assert row[2] == pytest.approx(value, rel=1e-15)
+
+    @staticmethod
+    def _literal_bytes(field):
+        # one line per node, formatted where it is visited
+        lines = []
+        for idx in np.ndindex(field.values.shape):
+            cells = [f"{field.axes[j][i]:.16e}" for j, i in enumerate(idx)]
+            cells.append(f"{field.values[idx]:.16e}")
+            lines.append(",".join(cells) + "\n")
+        return "".join(lines).encode()
+
+    @pytest.mark.parametrize("case", ["derivative-2d", "density-3d", "tail"])
+    def test_save_field_bytes(self, tmp_path, case):
+        if case == "derivative-2d":
+            # negative values, and exact zeros on the x = 0 row of axis 1
+            axes = [np.linspace(0.0, 3.0, 7), np.linspace(0.0, 3.0, 9)]
+            field = field_on_grid(_sample(2, n=50), axes, 0.2,
+                                  kind="derivative")
+            assert np.all(field.values[:, 0] == 0.0)
+            assert np.any(field.values < 0.0)
+        elif case == "density-3d":
+            axes = [np.linspace(0.1, 3.0, 4 + j) for j in range(3)]
+            field = field_on_grid(_sample(3, n=50), axes, 0.3)
+        else:
+            field = FieldOnGrid([np.array([0.0, 1.0, 700.0])],
+                                np.array([0.0, 1.5, 5.5e-319]), "density")
+        p = tmp_path / "f.csv"
+        save_field(field, p)
+        assert p.read_bytes() == self._literal_bytes(field)
 
 
 class TestAsSample:

@@ -1,6 +1,7 @@
 """Simulation-harness tests: marginal exactness, dependence structure,
 determinism across worker counts, and rate-fit recovery."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import kstest, pearsonr
 
+from gammakde import simulate
 from gammakde.models import GammaMarginal
 from gammakde.simulate import (
     ExperimentConfig,
@@ -148,8 +150,7 @@ class TestMcMise:
     @staticmethod
     def _config(**kw):
         base = dict(process=EXP_SPEC, n_grid=[100, 200, 400], replicates=8,
-                    tau=0, seed=77, which="density", bandwidth=0.15,
-                    nodes=80)
+                    tau=0, seed=77, which="density", bandwidth=0.15)
         base.update(kw)
         return ExperimentConfig(**base)
 
@@ -183,6 +184,22 @@ class TestMcMise:
         res = mc_mise(cfg)
         mises = [m for _n, m, _se in res.summary]
         assert mises[0] > mises[2]
+
+    def test_non_finite_ise_excluded_and_counted(self, monkeypatch):
+        # every third quadrature fails: replicates 0,3,6 | 1,4,7 | 2,5
+        calls = itertools.count()
+        real = simulate.trapezoid_nd
+        monkeypatch.setattr(
+            simulate, "trapezoid_nd",
+            lambda v, a: np.nan if next(calls) % 3 == 0 else real(v, a))
+        res = mc_mise(self._config())
+        assert res.excluded == {100: 3, 200: 3, 400: 2}
+        assert [r for n, r, _ise in res.records if n == 100] == [1, 2, 4, 5, 7]
+        assert len(res.records) == 16
+        for n, mise, _se in res.summary:
+            kept = [ise for m, _r, ise in res.records if m == n]
+            assert np.all(np.isfinite(kept))
+            assert mise == np.mean(kept)
 
     def test_export_round_trip(self, tmp_path):
         res = mc_mise(self._config())
