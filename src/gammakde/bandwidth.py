@@ -59,6 +59,8 @@ class BandwidthRule:
             raise ValueError("rule exponent e must be finite and positive")
 
     def bandwidth(self, n):
+        if n < 1:
+            raise ValueError(f"sample size n must be >= 1, got {n}")
         return self.C * float(n) ** (-self.e)
 
     def serialize(self, n=None):

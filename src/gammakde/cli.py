@@ -168,6 +168,18 @@ def _int_list(text):
     return [int(p) for p in text.split(",")]
 
 
+def _int_at_least(low):
+    """argparse type: an integer that is at least ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="gammakde",
@@ -179,7 +191,7 @@ def main(argv=None):
     p_est = sub.add_parser("estimate", help="estimate on a data file")
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--output", required=True)
-    p_est.add_argument("--tau", type=int, default=0)
+    p_est.add_argument("--tau", type=_int_at_least(0), default=0)
     p_est.add_argument("--which", choices=["density", "derivative"],
                        default="density")
     p_est.add_argument("--axis", type=int, default=None)
@@ -194,8 +206,8 @@ def main(argv=None):
     p_bw = sub.add_parser("bandwidth", help="compute a bandwidth rule")
     p_bw.add_argument("--which", choices=["density", "derivative"],
                       required=True)
-    p_bw.add_argument("--tau", type=int, default=0)
-    p_bw.add_argument("--n", type=int, required=True)
+    p_bw.add_argument("--tau", type=_int_at_least(0), default=0)
+    p_bw.add_argument("--n", type=_int_at_least(1), required=True)
     p_bw.add_argument("--model", required=True,
                       help="exp:RATE | gamma:SHAPE,SCALE | data:FILE")
     p_bw.add_argument("--stages", type=int, choices=[1, 2], default=1)
@@ -205,10 +217,10 @@ def main(argv=None):
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("--output", required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--seed", type=_int_at_least(0), required=True)
     p_sim.add_argument("--which", choices=["density", "derivative"],
                        default="density")
-    p_sim.add_argument("--tau", type=int, default=0)
+    p_sim.add_argument("--tau", type=_int_at_least(0), default=0)
     p_sim.add_argument("--n-grid", type=_int_list, required=True,
                        help="comma-separated increasing sample sizes")
     p_sim.add_argument("--replicates", type=int, default=50)
@@ -216,7 +228,7 @@ def main(argv=None):
     p_sim.add_argument("--marginal", type=_parse_marginal, default="exp:1.0",
                        help="exp:RATE | gamma:SHAPE,SCALE")
     p_sim.add_argument("--b", type=float, default=None)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=_int_at_least(1), default=1)
     p_sim.set_defaults(func=run_simulate)
 
     p_val = sub.add_parser("validate", help="run the validation suite")
@@ -228,8 +240,6 @@ def main(argv=None):
     if args.command == "bandwidth" \
             and (args.upsilon is None) != (args.alpha_integral is None):
         p_bw.error("--upsilon and --alpha-integral go together")
-    if args.command == "simulate" and args.seed < 0:
-        p_sim.error(f"--seed must be >= 0, got {args.seed}")
     try:
         return args.func(args)
     except (argparse.ArgumentTypeError, OSError, ValueError) as exc:

@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
 from . import estimator
@@ -111,6 +110,12 @@ def gen_series(spec, m, seed):
     """
     if m < 1:
         raise ValueError("series length must be >= 1")
+    # imported here, not at module level: scipy.signal pulls in
+    # scipy.stats, scipy.interpolate and scipy.optimize (about 1 s), and
+    # only commands that generate a series should pay for that; a first
+    # call on a pool thread is safe, as imports take a per-module lock
+    from scipy.signal import lfilter
+
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     eps = rng.standard_normal(m)
     phi = spec.phi

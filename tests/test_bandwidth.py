@@ -280,3 +280,7 @@ class TestBandwidthRule:
             BandwidthRule(kind="X", C=-1.0, e=0.4)
         with pytest.raises(ValueError):
             BandwidthRule(kind="X", C=1.0, e=0.0)
+        # n = 0 divided by zero and n < 0 gave a complex bandwidth
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                BandwidthRule(kind="X", C=1.0, e=0.4).bandwidth(n)

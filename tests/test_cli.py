@@ -6,6 +6,9 @@ committed sample, so the pin guards the whole pipeline and not just
 reproducibility.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from gammakde.cli import main
 from gammakde.kernel import kernel_eval
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 MINI = DATA / "exp100.csv"
 GOLDEN = DATA / "exp100_density_golden.csv"
 
@@ -143,23 +147,45 @@ BAD_INPUT = {
     "plugin-tau-3": f"{EST} --rule plugin --tau 3",
     "simulate-rule-tau-3": "simulate --output {out} --seed 1 --tau 3 "
                            "--n-grid 100,200 --marginal gamma:3.0,1.0",
+    # integer flags below their lower bound
+    "n-zero": "bandwidth --which density --n 0 --model gamma:3",
+    "n-negative": "bandwidth --which density --n -5 --model gamma:3",
+    "estimate-negative-tau": f"{EST} --b 0.3 --tau -1",
+    "bandwidth-negative-tau": "bandwidth --which density --tau -1 --n 100 "
+                              "--model gamma:3",
+    "simulate-negative-tau": f"{SIM} --n-grid 100,200 --tau -1",
+    "workers-zero": f"{SIM} --n-grid 100,200 --workers 0",
+    "workers-negative": f"{SIM} --n-grid 100,200 --workers -3",
+}
+
+# integer lower bounds are checked while the arguments are parsed, so the
+# error names the flag, not whatever a rule or a reshape raises later
+BAD_INPUT_MESSAGE = {
+    "n-zero": "argument --n: must be >= 1, got 0",
+    "n-negative": "argument --n: must be >= 1, got -5",
+    "estimate-negative-tau": "argument --tau: must be >= 0, got -1",
+    "bandwidth-negative-tau": "argument --tau: must be >= 0, got -1",
+    "simulate-negative-tau": "argument --tau: must be >= 0, got -1",
+    "workers-zero": "argument --workers: must be >= 1, got 0",
+    "workers-negative": "argument --workers: must be >= 1, got -3",
 }
 
 
-@pytest.mark.parametrize("spec", BAD_INPUT.values(), ids=BAD_INPUT.keys())
-def test_bad_input_is_usage_error(tmp_path, capsys, spec):
+@pytest.mark.parametrize("key", BAD_INPUT, ids=BAD_INPUT.keys())
+def test_bad_input_is_usage_error(tmp_path, capsys, key):
     short = tmp_path / "short.csv"
     short.write_text("1.0\n2.0\n0.5\n")
     pair = tmp_path / "pair.csv"
     pair.write_text("1.0,2.0\n2.0,1.0\n0.5,0.7\n")
     out = tmp_path / "out.csv"
     argv = [a.format(mini=MINI, short=short, pair=pair, out=out)
-            for a in spec.split()]
+            for a in BAD_INPUT[key].split()]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"gammakde {argv[0]}: error:" in err
+    assert BAD_INPUT_MESSAGE.get(key, "") in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -306,3 +332,19 @@ class TestValidate:
         line = next(l for l in out.splitlines()
                     if l.startswith("bias-variance-ratio"))
         assert "FAIL" in line
+
+
+# scipy subpackages that only some commands use; importing one costs
+# about 1 s of start-up (scipy.signal alone pulls in the other four)
+HEAVY_SCIPY = ["scipy.signal", "scipy.integrate", "scipy.stats",
+               "scipy.interpolate", "scipy.optimize"]
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, gammakde.cli; "
+             f"print(*[m for m in {HEAVY_SCIPY!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          check=True, capture_output=True, text=True)
+    assert proc.stdout.split() == []
