@@ -26,8 +26,8 @@ estimates = np.array([
 ])
 
 truth = marginal.d1(x)
-bias_th = bias_derivative(model, [x], b, 0)
-var_th = var_derivative(model, [x], b, n, 0)
+bias_th = bias_derivative(model, [x], b)
+var_th = var_derivative(model, [x], b, n)
 
 print(f"f'({x}) = {truth:.5f}")
 print(f"empirical mean      {estimates.mean():.5f}")

@@ -22,12 +22,12 @@ from gammakde import (
 
 n = 10_000
 
-rule = density_bandwidth(product_exponential(1.0, d=1), tau=0, n=n)
+rule = density_bandwidth(product_exponential(1.0, d=1), n=n)
 print("density rule, Exp(1):")
 print(f"  C = {rule.C:.6f} (closed form {2 ** 0.4:.6f}),"
       f" b({n}) = {rule.bandwidth(n):.5f}")
 
-rule = derivative_bandwidth(product_gamma([3.0]), tau=0, n=n)
+rule = derivative_bandwidth(product_gamma([3.0]), n=n)
 print("derivative rule, Gamma(3,1):")
 print(f"  C = {rule.C:.6f} (closed form {(108 / 35) ** (2 / 7):.6f}),"
       f" b({n}) = {rule.bandwidth(n):.5f}")
@@ -40,6 +40,6 @@ for stages in (1, 2):
           f" C = {rule.C:.4f}, b({n}) = {rule.bandwidth(n):.5f}")
 
 mp = MixingProfile(upsilon=0.5, alpha_integral=2.0)
-rule = mixing_bandwidth(product_gamma([3.0]), tau=0, n=n, mp=mp)
+rule = mixing_bandwidth(product_gamma([3.0]), n=n, mp=mp)
 print(f"mixing-aware rule: C = {rule.C:.4f}, e = {rule.e:.4f},"
       f" b({n}) = {rule.bandwidth(n):.5f}")

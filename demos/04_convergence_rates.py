@@ -17,7 +17,7 @@ from gammakde import (
     rate_fit,
 )
 
-rule = density_bandwidth(product_exponential(1.0, d=1), tau=0, n=250)
+rule = density_bandwidth(product_exponential(1.0, d=1), n=250)
 config = ExperimentConfig(
     process=MixingProcessSpec(GammaMarginal(1.0, 1.0), phi=0.0),
     n_grid=[250, 500, 1000, 2000],

@@ -3,7 +3,8 @@
 Closed-form reference rules for the density (e = 2/(5+tau)) and the
 derivative (e = 2/(tau+7)) estimators, a mixing-aware variant built on
 the covariance bound, and a data-driven plug-in with a moment-matched
-gamma reference and an optional pilot stage.
+gamma reference and an optional pilot stage. The model rules read the
+lag width as tau = m.dim - 1 from the model m; the plug-in takes tau.
 
 Each constant is C = [prefactor * int V dx / int B dx]^e: a variance
 functional V over a squared-bias functional B on the orthant. Both
@@ -27,7 +28,7 @@ import numpy as np
 from . import estimator
 from .models import product_gamma
 from .quadrature import grid_points, trapezoid_nd
-from .theory import _TWO_SQRT_PI, _check_tau, _curvature_sum
+from .theory import _TWO_SQRT_PI, _curvature_sum
 
 __all__ = [
     "BandwidthRule",
@@ -41,6 +42,11 @@ __all__ = [
 
 class DivergentIntegralError(ValueError):
     """A reference-rule integral diverges near the origin."""
+
+
+def _check_n(n):
+    if n < 1:
+        raise ValueError(f"sample size n must be >= 1, got {n}")
 
 
 @dataclass
@@ -59,8 +65,7 @@ class BandwidthRule:
             raise ValueError("rule exponent e must be finite and positive")
 
     def bandwidth(self, n):
-        if n < 1:
-            raise ValueError(f"sample size n must be >= 1, got {n}")
+        _check_n(n)
         return self.C * float(n) ** (-self.e)
 
     def serialize(self, n=None):
@@ -170,8 +175,9 @@ def _reference_integrals(m, which):
     )
 
 
-def _reference_rule(m, tau, n, which, kind):
-    tau = _check_tau(m, tau)
+def _reference_rule(m, n, which, kind):
+    _check_n(n)
+    tau = m.dim - 1
     num, den = _reference_integrals(m, which)
     C, e = _rule_constant(which, tau, num, den)
     return BandwidthRule(
@@ -180,16 +186,16 @@ def _reference_rule(m, tau, n, which, kind):
     )
 
 
-def density_bandwidth(m, tau, n):
+def density_bandwidth(m, n):
     """Reference rule for the density estimate.
 
     C = [ (tau+1) * int prod_j (x_j^(-1/2)/(2 sqrt(pi))) f dx
           / int (sum_j x_j f_jj)^2 dx ]^(2/(5+tau)),  e = 2/(5+tau).
     """
-    return _reference_rule(m, tau, n, "density", "DensityRef")
+    return _reference_rule(m, n, "density", "DensityRef")
 
 
-def derivative_bandwidth(m, tau, n):
+def derivative_bandwidth(m, n):
     """Reference rule for the derivative estimate (last coordinate).
 
     C = [ (tau+3)/(2^tau pi^((tau+1)/2))
@@ -198,10 +204,10 @@ def derivative_bandwidth(m, tau, n):
     e = 2/(tau+7). References too heavy at the origin (for example a
     unit exponential) make the numerator diverge and are rejected.
     """
-    return _reference_rule(m, tau, n, "derivative", "DerivativeRef")
+    return _reference_rule(m, n, "derivative", "DerivativeRef")
 
 
-def mixing_bandwidth(m, tau, n, mp):
+def mixing_bandwidth(m, n, mp):
     """Mixing-aware rule balancing bias^2 against the covariance bound.
 
     b = [ (tau+1)(upsilon+1) ((3u-1)/(2-2u))^(1-u)
@@ -214,7 +220,8 @@ def mixing_bandwidth(m, tau, n, mp):
     bound's leading factor changes sign there and the fractional power
     leaves the reals). The denominator is the density rule's.
     """
-    tau = _check_tau(m, tau)
+    _check_n(n)
+    tau = m.dim - 1
     u = mp.upsilon
     if u <= 1.0 / 3.0:
         raise ValueError(
@@ -328,9 +335,9 @@ def plug_in_bandwidth(sample, tau, which="density", stages=1):
     min_shape = 1.6 if which == "density" else 2.6
     ref, floored = _moment_matched_reference(data, min_shape)
     if which == "density":
-        rule, kind = density_bandwidth(ref, tau, n), "DensityPlugIn"
+        rule, kind = density_bandwidth(ref, n), "DensityPlugIn"
     else:
-        rule, kind = derivative_bandwidth(ref, tau, n), "DerivativePlugIn"
+        rule, kind = derivative_bandwidth(ref, n), "DerivativePlugIn"
     rule = BandwidthRule(kind=kind, C=rule.C, e=rule.e,
                          metadata=dict(rule.metadata, stage=0,
                                        shape_floored=floored))

@@ -115,11 +115,11 @@ def run_bandwidth(args):
             raise ValueError("the mixing-aware rule applies to the density")
         mp = MixingProfile(upsilon=args.upsilon,
                            alpha_integral=args.alpha_integral)
-        rule = bw.mixing_bandwidth(model, args.tau, args.n, mp)
+        rule = bw.mixing_bandwidth(model, args.n, mp)
     elif args.which == "density":
-        rule = bw.density_bandwidth(model, args.tau, args.n)
+        rule = bw.density_bandwidth(model, args.n)
     else:
-        rule = bw.derivative_bandwidth(model, args.tau, args.n)
+        rule = bw.derivative_bandwidth(model, args.n)
     print(rule.serialize(n=args.n))
     return 0
 
@@ -134,10 +134,9 @@ def run_simulate(args):
         d = args.tau + 1
         model = product_gamma([marginal.shape] * d, [marginal.scale] * d)
         if args.which == "density":
-            bandwidth = bw.density_bandwidth(model, args.tau, args.n_grid[0])
+            bandwidth = bw.density_bandwidth(model, args.n_grid[0])
         else:
-            bandwidth = bw.derivative_bandwidth(model, args.tau,
-                                                args.n_grid[0])
+            bandwidth = bw.derivative_bandwidth(model, args.n_grid[0])
     cfg = simulate.ExperimentConfig(
         process=spec, n_grid=args.n_grid, replicates=args.replicates,
         tau=args.tau, seed=args.seed, which=args.which,

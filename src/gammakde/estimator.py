@@ -195,18 +195,18 @@ def density_partial_at(sample, x, b, axis):
     return _field(data, x[:, None], b, _check_axis(axis, d)).item()
 
 
-def log_density_derivative_at(sample, x, b_f, b_df, axis, floor=DENSITY_FLOOR):
+def log_density_derivative_at(sample, x, b_f, b_df, axis):
     """Ratio estimate of the logarithmic density derivative.
 
     The numerator and denominator use separate bandwidths: the derivative
     needs a different smoothing order than the density. The denominator
-    is floored at ``floor`` and the result flags when the floor was hit.
+    is floored at ``DENSITY_FLOOR`` and the result flags a floor hit.
     """
     den = density_at(sample, x, b_f)
     num = density_partial_at(sample, x, b_df, axis)
-    truncated = den < floor
+    truncated = den < DENSITY_FLOOR
     return LogDerivativeResult(
-        value=num / max(den, floor),
+        value=num / max(den, DENSITY_FLOOR),
         truncated=truncated,
         density=den,
         derivative=num,

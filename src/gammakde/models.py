@@ -171,13 +171,10 @@ def _product_model(marginals):
                         quantile=quantile)
 
 
-def product_gamma(shapes, scales=1.0, d=None):
+def product_gamma(shapes, scales=1.0):
     """Product of independent gamma marginals."""
     shapes = np.atleast_1d(np.asarray(shapes, dtype=float))
     scales = np.atleast_1d(np.asarray(scales, dtype=float))
-    if d is not None:
-        shapes = np.broadcast_to(shapes, (d,))
-        scales = np.broadcast_to(scales, (d,))
     shapes, scales = np.broadcast_arrays(shapes, scales)
     return _product_model(GammaMarginal(k, th) for k, th in zip(shapes, scales))
 

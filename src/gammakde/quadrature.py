@@ -5,14 +5,13 @@ import numpy as np
 __all__ = ["tensor_axes", "grid_points", "trapezoid_nd"]
 
 
-def tensor_axes(domain, nodes=200):
-    """Per-axis linspace arrays for a box given as [(lo, hi), ...]."""
-    nodes = np.broadcast_to(np.asarray(nodes, dtype=int), (len(domain),))
+def tensor_axes(domain, nodes):
+    """Per-axis ``nodes``-point linspaces for a box [(lo, hi), ...]."""
     axes = []
-    for (lo, hi), m in zip(domain, nodes):
+    for lo, hi in domain:
         if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
             raise ValueError(f"bad integration interval ({lo}, {hi})")
-        axes.append(np.linspace(lo, hi, int(m)))
+        axes.append(np.linspace(lo, hi, nodes))
     return axes
 
 

@@ -183,8 +183,6 @@ def _run_replicates(config, n_index, task):
     reps = config.replicates
     base = n_index * reps
     seeds = [_replicate_seed(config.seed, base + r) for r in range(reps)]
-    if config.workers <= 1:
-        return [task(s) for s in seeds]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(task, seeds))
 

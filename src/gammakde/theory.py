@@ -2,9 +2,10 @@
 
 Bias, variance, covariance bounds, and two-term MISE for the density and
 its partial derivative (always along the last coordinate), evaluated
-against an analytic :class:`~gammakde.models.DensityModel`. These
-expansions are proven for interior points only (every coordinate at
-least 2b); boundary points are rejected rather than extrapolated.
+against an analytic :class:`~gammakde.models.DensityModel` m of
+(tau+1)-point lag fragments; every function reads tau = m.dim - 1 from m.
+These expansions are proven for interior points only (every coordinate
+at least 2b); boundary points are rejected rather than extrapolated.
 """
 
 from dataclasses import dataclass, field
@@ -74,24 +75,23 @@ class MixingProfile:
             raise ValueError("alpha integrals must be nonnegative")
 
 
+def _check_bandwidth(b):
+    b = float(b)
+    if not (np.isfinite(b) and b > 0.0):
+        raise ValueError(f"bandwidth must be finite and positive, got {b}")
+    return b
+
+
 def _check_interior(x, b, dim):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (dim,):
         raise ValueError(f"point must have dimension {dim}")
-    b = float(b)
-    if b <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    b = _check_bandwidth(b)
     if np.any(x < 2.0 * b):
         raise OutOfValidityError(
             f"expansions hold for interior points only (all x_j >= 2b = {2*b})"
         )
     return x, b
-
-
-def _check_tau(m, tau):
-    if int(tau) != m.dim - 1:
-        raise ValueError(f"tau={tau} inconsistent with model dimension {m.dim}")
-    return int(tau)
 
 
 def _curvature_sum(m, x):
@@ -130,12 +130,11 @@ def _v2(m, x):
     return total
 
 
-def var_density(m, x, b, n, tau):
+def var_density(m, x, b, n):
     """Variance expansion of the density estimate through order b^2."""
-    tau = _check_tau(m, tau)
     x, b = _check_interior(x, b, m.dim)
     f = float(m.pdf(x))
-    pref = float(_variance_prefactor(x, b, n, tau))
+    pref = float(_variance_prefactor(x, b, n, m.dim - 1))
     v1 = _v1(m, x)
     v2 = _v2(m, x)
     mean = f + 0.5 * b * float(_curvature_sum(m, x))
@@ -170,14 +169,14 @@ def _mixing_d(x, tau, upsilon):
     return 2.0 * (2.0 * np.pi) ** expo * float(np.prod(x ** (-(u + 1.0) / 2.0)))
 
 
-def cov_bound_density(m, x, b, n, tau, mp):
+def cov_bound_density(m, x, b, n, mp):
     """Strong-mixing covariance bound for the density estimate.
 
     The base of the fractional power is taken in absolute value: the
     bound controls a magnitude and the leading f-term changes sign at
     upsilon = 1/3.
     """
-    tau = _check_tau(m, tau)
+    tau = m.dim - 1
     x, b = _check_interior(x, b, m.dim)
     u = mp.upsilon
     f = float(m.pdf(x))
@@ -191,7 +190,7 @@ def cov_bound_density(m, x, b, n, tau, mp):
     return float(value)
 
 
-def cov_split_density(m, x, b, n, tau, mp):
+def cov_split_density(m, x, b, n, mp):
     """Two-part covariance bound (near/far lags) for the density estimate.
 
     Uses the lag cutoff c(n) = b^(-(tau+1)/8) with kappa from the mixing
@@ -199,7 +198,7 @@ def cov_split_density(m, x, b, n, tau, mp):
     n^-1 b^(-(tau+1)/8) is strictly weaker than the variance order
     n^-1 b^(-(tau+1)/2), so the covariance is asymptotically negligible.
     """
-    tau = _check_tau(m, tau)
+    tau = m.dim - 1
     x, b = _check_interior(x, b, m.dim)
     if mp.M is None:
         raise ValueError("mixing profile must set the joint-density bound M")
@@ -249,12 +248,9 @@ def _b2(m, x):
     return _curvature_sum(m, x) / (24.0 * xn**2)
 
 
-def bias_derivative(m, x, b, tau):
+def bias_derivative(m, x, b):
     """Leading bias of the derivative estimate: b B1 + b^2 B2."""
-    tau = _check_tau(m, tau)
     x, b = _check_interior(x, b, m.dim)
-    if x[-1] <= 0.0:
-        raise OutOfValidityError("derivative expansions need x_n > 0")
     b1 = float(_b1(m, x))
     b2 = float(_b2(m, x))
     return ExpansionReport(
@@ -265,17 +261,14 @@ def bias_derivative(m, x, b, tau):
     )
 
 
-def var_derivative(m, x, b, n, tau):
+def var_derivative(m, x, b, n):
     """Variance expansion of the derivative estimate.
 
     Leading order is (1/(n b^((tau+3)/2))) prod_j (x_j^(-1/2)/(2 sqrt(pi)))
     * f/(2 x_n), carried by the V3 component.
     """
-    tau = _check_tau(m, tau)
     x, b = _check_interior(x, b, m.dim)
     xn = x[-1]
-    if xn <= 0.0:
-        raise OutOfValidityError("derivative expansions need x_n > 0")
     f = float(m.pdf(x))
     g = np.asarray(m.grad(x))
     h = np.asarray(m.hess_diag(x))
@@ -295,7 +288,7 @@ def var_derivative(m, x, b, n, tau):
     v3 = f / (2.0 * xn)
     v4 = f / (4.0 * xn**2) - float(np.sum(g)) / (4.0 * xn)
 
-    pref = float(_variance_prefactor(x, b, n, tau))
+    pref = float(_variance_prefactor(x, b, n, m.dim - 1))
     b1 = float(_b1(m, x))
     b2 = float(_b2(m, x))
     mean_sq = (b * b * b1 * b1 + fn * fn
@@ -312,9 +305,9 @@ def var_derivative(m, x, b, n, tau):
                            components=components)
 
 
-def cov_bound_derivative(m, x, b, n, tau, mp):
+def cov_bound_derivative(m, x, b, n, mp):
     """Strong-mixing covariance bound for the derivative estimate."""
-    tau = _check_tau(m, tau)
+    tau = m.dim - 1
     x, b = _check_interior(x, b, m.dim)
     u = mp.upsilon
     xn = x[-1]
@@ -366,14 +359,16 @@ def cov_bound_derivative(m, x, b, n, tau, mp):
     return float(value)
 
 
-def mise_leading(m, b, n, tau, which, domain, nodes=200):
+def mise_leading(m, b, n, which, domain, nodes=200):
     """Two-term (bias^2 + leading variance) MISE over an interior box.
 
     which : "density" or "derivative"
-    domain : list of per-axis (lo, hi) pairs, inside the interior region
+    domain : m.dim per-axis (lo, hi) pairs inside the interior region
     """
-    tau = _check_tau(m, tau)
-    b = float(b)
+    tau = m.dim - 1
+    b = _check_bandwidth(b)
+    if len(domain) != m.dim:
+        raise ValueError(f"domain needs {m.dim} intervals, got {len(domain)}")
     for lo, _hi in domain:
         if lo < 2.0 * b:
             raise OutOfValidityError(

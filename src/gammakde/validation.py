@@ -53,8 +53,8 @@ def _check_gradient_consistency():
 
 
 def _check_bandwidth_constants():
-    dens = bandwidth.density_bandwidth(product_exponential(1.0, d=1), 0, 1000)
-    deriv = bandwidth.derivative_bandwidth(product_gamma([3.0]), 0, 1000)
+    dens = bandwidth.density_bandwidth(product_exponential(1.0, d=1), 1000)
+    deriv = bandwidth.derivative_bandwidth(product_gamma([3.0]), 1000)
     err_d = abs(dens.C - 2.0 ** 0.4)
     err_r = abs(deriv.C - (108.0 / 35.0) ** (2.0 / 7.0))
     return ("bandwidth-constants", err_d < 1e-3 and err_r < 1e-3,
@@ -68,8 +68,8 @@ def _check_covariance_order():
     ratios = []
     for n in (10 ** 3, 10 ** 4, 10 ** 5):
         b = n ** (-0.4)
-        i1, i2 = theory.cov_split_density(m, [1.0], b, n, 0, mp)
-        lead = theory.var_density(m, [1.0], b, n, 0).components["leading"]
+        i1, i2 = theory.cov_split_density(m, [1.0], b, n, mp)
+        lead = theory.var_density(m, [1.0], b, n).components["leading"]
         ratios.append((i1 + i2) / lead)
     ok = ratios[0] > ratios[1] > ratios[2]
     return ("covariance-order", ok,
@@ -85,19 +85,19 @@ def analytic_checks():
     ]
 
 
-def _check_bias_variance_ratio(seed=12345):
+def _check_bias_variance_ratio():
     # the full variance expansion (v1 and v2 included) is the comparator,
     # so a wrong sign anywhere in the expansion shows up in the ratio
     n, b = 5000, 0.1
     spec = simulate.MixingProcessSpec(GammaMarginal(1.0, 1.0), phi=0.0)
     cfg = simulate.ExperimentConfig(
         process=spec, n_grid=[n], replicates=300, tau=0,
-        seed=seed, which="density", bandwidth=b,
+        seed=12345, which="density", bandwidth=b,
     )
     stats = simulate.mc_point_stats(cfg, [1.0])[0]
     m = product_exponential(1.0, d=1)
     bias_th = theory.bias_density(m, [1.0], b).value
-    var_th = theory.var_density(m, [1.0], b, n, 0).value
+    var_th = theory.var_density(m, [1.0], b, n).value
     rb = stats.bias / bias_th
     rv = stats.variance / var_th
     ok = 0.7 <= rb <= 1.3 and 0.75 <= rv <= 1.25
@@ -105,13 +105,13 @@ def _check_bias_variance_ratio(seed=12345):
             f"bias ratio {rb:.3f}, variance ratio {rv:.3f}")
 
 
-def _check_density_slope(seed=999):
+def _check_density_slope():
     m = product_exponential(1.0, d=1)
-    rule = bandwidth.density_bandwidth(m, 0, 1000)
+    rule = bandwidth.density_bandwidth(m, 1000)
     spec = simulate.MixingProcessSpec(GammaMarginal(1.0, 1.0), phi=0.0)
     cfg = simulate.ExperimentConfig(
         process=spec, n_grid=[250, 500, 1000, 2000], replicates=40,
-        tau=0, seed=seed, which="density", bandwidth=rule,
+        tau=0, seed=999, which="density", bandwidth=rule,
     )
     res = simulate.mc_mise(cfg)
     slope, _se = simulate.rate_fit(res)

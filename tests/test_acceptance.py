@@ -108,7 +108,7 @@ def test_05_density_bias_law(density_point_run, report):
 def test_06_density_variance_law(density_point_run, report):
     s = density_point_run
     m = product_exponential(1.0, d=1)
-    var_th = theory.var_density(m, [1.0], s.b, s.n, 0).value
+    var_th = theory.var_density(m, [1.0], s.b, s.n).value
     ratio = s.variance / var_th
     report(6, 0.85 <= ratio <= 1.15,
             f"variance ratio {ratio:.3f} (empirical {s.variance:.3e})")
@@ -122,8 +122,8 @@ def test_07_derivative_laws(report):
     )
     s = simulate.mc_point_stats(cfg, [1.0])[0]
     m = product_gamma([3.0])
-    bias_th = theory.bias_derivative(m, [1.0], 0.1, 0).value
-    var_th = theory.var_derivative(m, [1.0], 0.1, s.n, 0).value
+    bias_th = theory.bias_derivative(m, [1.0], 0.1).value
+    var_th = theory.var_derivative(m, [1.0], 0.1, s.n).value
     rb = s.bias / bias_th
     rv = s.variance / var_th
     report(7, 0.7 <= rb <= 1.3 and 0.85 <= rv <= 1.15,
@@ -135,7 +135,7 @@ RATE_GRID = [250, 500, 1000, 2000, 4000]
 
 def test_08_density_rate(report):
     m = product_exponential(1.0, d=1)
-    rule = bandwidth.density_bandwidth(m, 0, RATE_GRID[0])
+    rule = bandwidth.density_bandwidth(m, RATE_GRID[0])
     spec = simulate.MixingProcessSpec(GammaMarginal(1.0, 1.0), phi=0.0)
     cfg = simulate.ExperimentConfig(
         process=spec, n_grid=RATE_GRID, replicates=100, tau=0,
@@ -148,7 +148,7 @@ def test_08_density_rate(report):
 
 def test_09_derivative_rate(report):
     m = product_gamma([3.0])
-    rule = bandwidth.derivative_bandwidth(m, 0, RATE_GRID[0])
+    rule = bandwidth.derivative_bandwidth(m, RATE_GRID[0])
     spec = simulate.MixingProcessSpec(GammaMarginal(3.0, 1.0), phi=0.0)
     cfg = simulate.ExperimentConfig(
         process=spec, n_grid=RATE_GRID, replicates=100, tau=0,
@@ -161,7 +161,7 @@ def test_09_derivative_rate(report):
 
 def test_10_mixing_rate(report):
     m = product_exponential(1.0, d=1)
-    rule = bandwidth.density_bandwidth(m, 0, RATE_GRID[0])
+    rule = bandwidth.density_bandwidth(m, RATE_GRID[0])
     spec = simulate.MixingProcessSpec(GammaMarginal(1.0, 1.0), phi=0.5)
     cfg = simulate.ExperimentConfig(
         process=spec, n_grid=RATE_GRID, replicates=100, tau=0,

@@ -21,12 +21,12 @@ class TestDensityRule:
     def test_exponential_constant_closed_form(self):
         # Exp(1): num = int f x^{-1/2}/(2 sqrt(pi)) = 1/(2 sqrt(2)),
         # den = int (x f'')^2 = 1/4, so C = (4/(2 sqrt 2))^{2/5} = 2^{2/5}
-        rule = density_bandwidth(product_exponential(1.0, d=1), 0, 1000)
+        rule = density_bandwidth(product_exponential(1.0, d=1), 1000)
         assert rule.C == pytest.approx(2.0**0.4, abs=1e-4)
         assert rule.e == pytest.approx(0.4)
 
     def test_bandwidth_power_law(self):
-        rule = density_bandwidth(product_exponential(1.0, d=1), 0, 1000)
+        rule = density_bandwidth(product_exponential(1.0, d=1), 1000)
         for n in (100, 10_000, 1_000_000):
             assert rule.bandwidth(n) * n**rule.e == pytest.approx(rule.C,
                                                                   rel=1e-14)
@@ -34,39 +34,35 @@ class TestDensityRule:
     def test_heavy_origin_reference_rejected(self):
         # Gamma(0.4): f itself diverges at 0 and so does the numerator
         with pytest.raises(DivergentIntegralError, match="density-rule"):
-            density_bandwidth(product_gamma([0.4]), 0, 1000)
+            density_bandwidth(product_gamma([0.4]), 1000)
 
     def test_divergent_denominator_rejected(self):
         # Gamma(k) with k < 3/2: (x f'')^2 ~ x^{2k-4} is not integrable
         with pytest.raises(DivergentIntegralError, match="denominator"):
-            density_bandwidth(product_gamma([0.913]), 0, 1000)
+            density_bandwidth(product_gamma([0.913]), 1000)
 
     def test_requires_quantile(self):
         m = from_pdf(lambda x: np.exp(-np.sum(x, axis=-1)), dim=1)
         with pytest.raises(ValueError, match="quantile"):
-            density_bandwidth(m, 0, 1000)
-
-    def test_tau_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="tau"):
-            density_bandwidth(product_exponential(1.0, d=1), 1, 1000)
+            density_bandwidth(m, 1000)
 
     def test_minimizes_leading_mise(self):
         # the rule bandwidth should beat nearby bandwidths for the
         # leading MISE over a wide interior box
         m = product_gamma([3.0])
         n = 2000
-        rule = density_bandwidth(m, 0, n)
+        rule = density_bandwidth(m, n)
         b_star = rule.bandwidth(n)
         dom = [(4.2 * b_star, float(m.quantile(1 - 1e-6)[0]))]
-        at = mise_leading(m, b_star, n, 0, "density", dom, nodes=2001)
-        lo = mise_leading(m, 0.5 * b_star, n, 0, "density", dom, nodes=2001)
-        hi = mise_leading(m, 2.0 * b_star, n, 0, "density", dom, nodes=2001)
+        at = mise_leading(m, b_star, n, "density", dom, nodes=2001)
+        lo = mise_leading(m, 0.5 * b_star, n, "density", dom, nodes=2001)
+        hi = mise_leading(m, 2.0 * b_star, n, "density", dom, nodes=2001)
         assert at < lo and at < hi
 
 
 class TestDerivativeRule:
     def test_gamma3_constant_closed_form(self):
-        rule = derivative_bandwidth(product_gamma([3.0]), 0, 1000)
+        rule = derivative_bandwidth(product_gamma([3.0]), 1000)
         assert rule.C == pytest.approx((108.0 / 35.0) ** (2.0 / 7.0),
                                        abs=1e-4)
         assert rule.e == pytest.approx(2.0 / 7.0)
@@ -74,10 +70,10 @@ class TestDerivativeRule:
     def test_exponential_reference_rejected(self):
         # f/x^{3/2} diverges at the origin for Exp(1)
         with pytest.raises(DivergentIntegralError, match="derivative-rule"):
-            derivative_bandwidth(product_exponential(1.0, d=1), 0, 1000)
+            derivative_bandwidth(product_exponential(1.0, d=1), 1000)
 
     def test_two_dimensional_runs(self):
-        rule = derivative_bandwidth(product_gamma([3.0, 3.0]), 1, 1000)
+        rule = derivative_bandwidth(product_gamma([3.0, 3.0]), 1000)
         assert rule.e == pytest.approx(0.25)
         assert 0.1 < rule.C < 10.0
 
@@ -112,7 +108,7 @@ class TestSeparableReference:
         B = quad(lambda x: g(x) ** 2)
         D = quad(lambda x: x * g(x) * g2(x))
         want = (2.0 * num / (2.0 * A * B + 2.0 * D * D)) ** (1.0 / 3.0)
-        rule = density_bandwidth(product_gamma([3.0, 3.0]), 1, 1000)
+        rule = density_bandwidth(product_gamma([3.0, 3.0]), 1000)
         assert rule.C == pytest.approx(want, rel=1e-6)
 
     def test_derivative_rule(self):
@@ -134,7 +130,7 @@ class TestSeparableReference:
             * quad(lambda x: (g(x) / x) ** 2)
         )
         want = (2.0 / np.pi * num / den) ** 0.25
-        rule = derivative_bandwidth(product_gamma([3.0, 3.0]), 1, 1000)
+        rule = derivative_bandwidth(product_gamma([3.0, 3.0]), 1000)
         assert rule.C == pytest.approx(want, rel=2e-5)
 
 
@@ -154,7 +150,7 @@ def _count_grid_evaluations(m):
 def test_one_model_evaluation_per_grid(rule):
     m = product_gamma([3.0])
     calls = _count_grid_evaluations(m)
-    rule(m, 0, 1000)
+    rule(m, 1000)
     assert calls == {"pdf": 1, "hess_diag": 1}
 
 
@@ -162,16 +158,29 @@ def test_mixing_rule_evaluates_once_per_grid():
     # the numerator has its own power substitution, hence its own grid
     m = product_gamma([3.0])
     calls = _count_grid_evaluations(m)
-    mixing_bandwidth(m, 0, 1000, MixingProfile(upsilon=0.5,
+    mixing_bandwidth(m, 1000, MixingProfile(upsilon=0.5,
                                                alpha_integral=2.0))
     assert calls == {"pdf": 2, "hess_diag": 1}
+
+
+@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize("build", [
+    lambda n: density_bandwidth(product_gamma([3.0]), n),
+    lambda n: derivative_bandwidth(product_gamma([3.0]), n),
+    lambda n: mixing_bandwidth(product_gamma([3.0]), n, MixingProfile(
+        upsilon=0.5, alpha_integral=2.0)),
+], ids=["density", "derivative", "mixing"])
+def test_rule_builders_reject_small_n(build, n):
+    # refused when the rule is built, not first in BandwidthRule.bandwidth
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build(n)
 
 
 class TestMixingRule:
     MP = MixingProfile(upsilon=0.5, alpha_integral=2.0)
 
     def test_exponent(self):
-        rule = mixing_bandwidth(product_gamma([3.0]), 0, 1000, self.MP)
+        rule = mixing_bandwidth(product_gamma([3.0]), 1000, self.MP)
         assert rule.e == pytest.approx(2.0 / (0.5 + 5.0))
 
     def test_first_order_optimality(self):
@@ -179,7 +188,7 @@ class TestMixingRule:
         # (b^2/4) den + coef * num * alpha / (n b^q), q = (tau+1)(u+1)/2
         m = product_gamma([3.0])
         u, tau, n = 0.5, 0, 10_000
-        rule = mixing_bandwidth(m, tau, n, self.MP)
+        rule = mixing_bandwidth(m, n, self.MP)
         num = rule.metadata["numerator"]
         den = rule.metadata["denominator"]
         coef = ((3.0 * u - 1.0) / (2.0 - 2.0 * u)) ** (1.0 - u)
@@ -195,20 +204,20 @@ class TestMixingRule:
         assert abs(foc) / scale < 1e-3
 
     def test_shrinks_with_n(self):
-        rule = mixing_bandwidth(product_gamma([3.0]), 0, 1000, self.MP)
+        rule = mixing_bandwidth(product_gamma([3.0]), 1000, self.MP)
         assert rule.bandwidth(10_000) < rule.bandwidth(1000)
 
     def test_homogeneous_in_alpha_integral(self):
         m = product_gamma([3.0])
-        r1 = mixing_bandwidth(m, 0, 1000, self.MP)
+        r1 = mixing_bandwidth(m, 1000, self.MP)
         r2 = mixing_bandwidth(
-            m, 0, 1000, MixingProfile(upsilon=0.5, alpha_integral=4.0))
+            m, 1000, MixingProfile(upsilon=0.5, alpha_integral=4.0))
         assert r2.C == pytest.approx(2.0**r1.e * r1.C, rel=1e-12)
 
     def test_rejects_small_upsilon(self):
         mp = MixingProfile(upsilon=0.3, alpha_integral=1.0)
         with pytest.raises(ValueError, match="upsilon > 1/3"):
-            mixing_bandwidth(product_gamma([3.0]), 0, 1000, mp)
+            mixing_bandwidth(product_gamma([3.0]), 1000, mp)
 
 
 class TestPlugIn:
@@ -222,7 +231,7 @@ class TestPlugIn:
         # to the model rule
         data = self._gamma3_sample(100_000)
         rule = plug_in_bandwidth(data, 0, which="density")
-        want = density_bandwidth(product_gamma([3.0]), 0, len(data)).C
+        want = density_bandwidth(product_gamma([3.0]), len(data)).C
         assert abs(rule.C - want) / want < 0.05
         assert rule.metadata["stage"] == 0
         assert not rule.metadata["shape_floored"]
@@ -230,7 +239,7 @@ class TestPlugIn:
     def test_derivative_rule_recovered(self):
         data = self._gamma3_sample(100_000)
         rule = plug_in_bandwidth(data, 0, which="derivative")
-        want = derivative_bandwidth(product_gamma([3.0]), 0, len(data)).C
+        want = derivative_bandwidth(product_gamma([3.0]), len(data)).C
         assert abs(rule.C - want) / want < 0.05
 
     def test_exponential_data_floors_shape(self):
@@ -245,7 +254,7 @@ class TestPlugIn:
         r2 = plug_in_bandwidth(data, 0, which="density", stages=2)
         assert r2.metadata["stage"] == 1
         assert "pilot_bandwidth" in r2.metadata
-        want = density_bandwidth(product_gamma([3.0]), 0, len(data)).C
+        want = density_bandwidth(product_gamma([3.0]), len(data)).C
         assert abs(r2.C - want) / want < 0.3
 
     def test_fragments_series_for_positive_tau(self):

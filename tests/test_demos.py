@@ -1,4 +1,5 @@
-"""Every demo script runs to completion from an empty working directory."""
+"""Every demo script runs to completion, with warnings as errors, from an
+empty working directory."""
 
 import os
 import subprocess
@@ -16,6 +17,8 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=600)
+    # warnings are errors, as they are inside pytest
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

@@ -81,12 +81,12 @@ class TestVarDensity:
     def test_leading_component_closed_form(self):
         # (1/(n sqrt(b))) x^{-1/2} f / (2 sqrt(pi))
         n, b, x = 1000, 0.1, 1.0
-        rep = var_density(EXP1, [x], b, n, 0)
+        rep = var_density(EXP1, [x], b, n)
         want = np.exp(-x) / (n * np.sqrt(b) * np.sqrt(x) * TWO_SQRT_PI)
         assert rep.components["leading"] == pytest.approx(want, rel=1e-13)
 
     def test_components_sum_to_value(self):
-        rep = var_density(GAMMA3, [1.3], 0.08, 500, 0)
+        rep = var_density(GAMMA3, [1.3], 0.08, 500)
         assert rep.value == pytest.approx(sum(rep.components.values()),
                                           rel=1e-14)
 
@@ -99,32 +99,28 @@ class TestVarDensity:
                    0.0, hi, limit=400)[0]
         ek = _exact_mean_density(g, x, b)
         exact = (ek2 - ek * ek) / n
-        rep = var_density(GAMMA3, [x], b, n, 0)
+        rep = var_density(GAMMA3, [x], b, n)
         assert rep.value == pytest.approx(exact, rel=0.03)
 
     def test_symmetry_under_coordinate_swap(self):
         m = product_exponential(1.0, d=2)
-        a = var_density(m, [1.0, 2.0], 0.1, 1000, 1).value
-        b = var_density(m, [2.0, 1.0], 0.1, 1000, 1).value
+        a = var_density(m, [1.0, 2.0], 0.1, 1000).value
+        b = var_density(m, [2.0, 1.0], 0.1, 1000).value
         assert a == pytest.approx(b, rel=1e-13)
 
     def test_fault_hook_flips_v1(self, monkeypatch):
-        clean = var_density(GAMMA3, [1.0], 0.1, 1000, 0).components["v1_term"]
+        clean = var_density(GAMMA3, [1.0], 0.1, 1000).components["v1_term"]
         orig = theory._v1
         monkeypatch.setattr(theory, "_v1", lambda m, x: -orig(m, x))
-        faulty = var_density(GAMMA3, [1.0], 0.1, 1000, 0).components["v1_term"]
+        faulty = var_density(GAMMA3, [1.0], 0.1, 1000).components["v1_term"]
         assert faulty == pytest.approx(-clean, rel=1e-14)
-
-    def test_rejects_tau_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="tau"):
-            var_density(EXP1, [1.0], 0.1, 1000, 1)
 
 
 class TestBiasDerivative:
     def test_frozen_coefficients(self):
         # Gamma(3,1) at x=1: B1 = (1/2)(f'' + x f''') = -e^{-1}/2,
         # B2 = x f'' / 24 = e^{-1}/48... with sign from f''(1) < 0
-        rep = bias_derivative(GAMMA3, [1.0], 0.1, 0)
+        rep = bias_derivative(GAMMA3, [1.0], 0.1)
         g = GammaMarginal(3.0)
         b1_want = 0.5 * (g.d2(1.0) + 1.0 * g.d3(1.0))
         b2_want = 1.0 * g.d2(1.0) / 24.0
@@ -142,7 +138,7 @@ class TestBiasDerivative:
         ratios = []
         for b in (0.04, 0.02, 0.01):
             exact = _exact_mean_derivative(g, 1.0, b) - g.d1(1.0)
-            ratios.append(exact / bias_derivative(GAMMA3, [1.0], b, 0).value)
+            ratios.append(exact / bias_derivative(GAMMA3, [1.0], b).value)
         assert abs(ratios[-1] - 1.0) < 0.02
         assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
 
@@ -150,7 +146,7 @@ class TestBiasDerivative:
         # Exp(1) at x=1: B1 = (1/2)(f'' + x f''') = 0
         g = GammaMarginal(1.0, 1.0)
         m = EXP1
-        rep = bias_derivative(m, [1.0], 0.02, 0)
+        rep = bias_derivative(m, [1.0], 0.02)
         assert rep.components["B1"] == pytest.approx(0.0, abs=1e-15)
         exact = _exact_mean_derivative(g, 1.0, 0.02) - g.d1(1.0)
         # with B1 = 0 the bias is second order and small
@@ -158,12 +154,12 @@ class TestBiasDerivative:
 
     def test_rejects_boundary_point(self):
         with pytest.raises(OutOfValidityError):
-            bias_derivative(GAMMA3, [0.1], 0.1, 0)
+            bias_derivative(GAMMA3, [0.1], 0.1)
 
 
 class TestVarDerivative:
     def test_frozen_v3_term(self):
-        rep = var_derivative(GAMMA3, [1.0], 0.1, 1000, 0)
+        rep = var_derivative(GAMMA3, [1.0], 0.1, 1000)
         assert rep.components["V3_term"] == pytest.approx(
             8.204282285384683e-4, rel=1e-12)
         assert rep.value == pytest.approx(7.904216700096279e-4, rel=1e-12)
@@ -173,7 +169,7 @@ class TestVarDerivative:
         n, b, x = 1000, 0.1, 1.0
         f = GammaMarginal(3.0).pdf(x)
         want = f / (2.0 * x) / (n * b**1.5 * np.sqrt(x) * TWO_SQRT_PI)
-        rep = var_derivative(GAMMA3, [x], b, n, 0)
+        rep = var_derivative(GAMMA3, [x], b, n)
         assert rep.components["V3_term"] == pytest.approx(want, rel=1e-13)
 
     def test_exact_second_moment_oracle(self):
@@ -184,11 +180,11 @@ class TestVarDerivative:
                    1e-300, hi, limit=400)[0]
         ek = _exact_mean_derivative(g, x, b)
         exact = (ek2 - ek * ek) / n
-        rep = var_derivative(GAMMA3, [x], b, n, 0)
+        rep = var_derivative(GAMMA3, [x], b, n)
         assert rep.value == pytest.approx(exact, rel=0.03)
 
     def test_components_sum_to_value(self):
-        rep = var_derivative(GAMMA3, [0.9], 0.07, 2000, 0)
+        rep = var_derivative(GAMMA3, [0.9], 0.07, 2000)
         assert rep.value == pytest.approx(sum(rep.components.values()),
                                           rel=1e-14)
 
@@ -207,37 +203,37 @@ class TestCovarianceBounds:
             * x ** (-(u + 1) / 2)
         base = b * s + f * (3 * u - 1) / (2 * (u - 1))
         want = b ** (-(u + 1) / 2) / n * dd * abs(base) ** (1 - u)
-        got = cov_bound_density(m, [x], b, n, 0, self.MP)
+        got = cov_bound_density(m, [x], b, n, self.MP)
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_homogeneous_in_alpha_integral(self):
         mp2 = MixingProfile(upsilon=0.5, alpha_integral=3.0, alpha_sum=1.0,
                             M=1.0)
-        a = cov_bound_density(EXP1, [1.0], 0.1, 1000, 0, self.MP)
-        b = cov_bound_density(EXP1, [1.0], 0.1, 1000, 0, mp2)
+        a = cov_bound_density(EXP1, [1.0], 0.1, 1000, self.MP)
+        b = cov_bound_density(EXP1, [1.0], 0.1, 1000, mp2)
         assert b == pytest.approx(3.0 * a, rel=1e-13)
 
     def test_split_negligible_relative_to_variance(self):
         ratios = []
         for n in (10**3, 10**4, 10**5):
             b = n ** (-0.4)
-            i1, i2 = cov_split_density(EXP1, [1.0], b, n, 0, self.MP)
+            i1, i2 = cov_split_density(EXP1, [1.0], b, n, self.MP)
             assert i1 > 0.0 and i2 > 0.0
-            lead = var_density(EXP1, [1.0], b, n, 0).components["leading"]
+            lead = var_density(EXP1, [1.0], b, n).components["leading"]
             ratios.append((i1 + i2) / lead)
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_split_requires_m(self):
         mp = MixingProfile(upsilon=0.5, alpha_integral=1.0)
         with pytest.raises(ValueError, match="M"):
-            cov_split_density(EXP1, [1.0], 0.1, 1000, 0, mp)
+            cov_split_density(EXP1, [1.0], 0.1, 1000, mp)
 
     def test_derivative_bound_positive_and_homogeneous(self):
-        a = cov_bound_derivative(GAMMA3, [1.0], 0.1, 1000, 0, self.MP)
+        a = cov_bound_derivative(GAMMA3, [1.0], 0.1, 1000, self.MP)
         assert np.isfinite(a) and a > 0.0
         mp2 = MixingProfile(upsilon=0.5, alpha_integral=2.0, alpha_sum=1.0,
                             M=1.0)
-        b = cov_bound_derivative(GAMMA3, [1.0], 0.1, 1000, 0, mp2)
+        b = cov_bound_derivative(GAMMA3, [1.0], 0.1, 1000, mp2)
         assert b == pytest.approx(2.0 * a, rel=1e-13)
 
     def test_mixing_profile_validation(self):
@@ -260,7 +256,7 @@ class TestMiseLeading:
         integrand = (0.5 * b * t * f) ** 2 + f / (
             n * np.sqrt(b) * np.sqrt(t) * TWO_SQRT_PI)
         want = np.trapezoid(integrand, t)
-        got = mise_leading(EXP1, b, n, 0, "density", [(lo, hi)], nodes=4001)
+        got = mise_leading(EXP1, b, n, "density", [(lo, hi)], nodes=4001)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_argmin_near_analytic_optimum(self):
@@ -269,7 +265,7 @@ class TestMiseLeading:
         n = 1000
         dom = [(0.35, 7.0)]
         grid = np.geomspace(0.02, 0.17, 121)
-        vals = [mise_leading(EXP1, b, n, 0, "density", dom, nodes=400)
+        vals = [mise_leading(EXP1, b, n, "density", dom, nodes=400)
                 for b in grid]
         b_star = grid[int(np.argmin(vals))]
         # analytic box optimum: b = (V / (4 B n))^{2/5} * ... solve
@@ -284,21 +280,40 @@ class TestMiseLeading:
         assert b_analytic / step <= b_star <= b_analytic * step
 
     def test_derivative_branch_positive(self):
-        got = mise_leading(GAMMA3, 0.1, 1000, 0, "derivative", [(0.4, 8.0)])
+        got = mise_leading(GAMMA3, 0.1, 1000, "derivative", [(0.4, 8.0)])
         assert np.isfinite(got) and got > 0.0
 
     def test_rejects_boundary_box(self):
         with pytest.raises(OutOfValidityError):
-            mise_leading(EXP1, 0.1, 1000, 0, "density", [(0.1, 5.0)])
+            mise_leading(EXP1, 0.1, 1000, "density", [(0.1, 5.0)])
 
     def test_rejects_unknown_which(self):
         with pytest.raises(ValueError):
-            mise_leading(EXP1, 0.1, 1000, 0, "pdf", [(0.3, 5.0)])
+            mise_leading(EXP1, 0.1, 1000, "pdf", [(0.3, 5.0)])
+
+    def test_rejects_wrong_domain_length(self):
+        with pytest.raises(ValueError, match="domain needs 1"):
+            mise_leading(EXP1, 0.1, 1000, "density", [(0.3, 5.0)] * 2)
+
+
+@pytest.mark.parametrize("b", [np.nan, -0.1, 0.0])
+@pytest.mark.parametrize("expansion", [
+    lambda b: bias_density(GAMMA3, [1.0], b),
+    lambda b: var_density(GAMMA3, [1.0], b, 1000),
+    lambda b: bias_derivative(GAMMA3, [1.0], b),
+    lambda b: mise_leading(GAMMA3, b, 1000, "density", [(1.0, 8.0)]),
+], ids=["bias_density", "var_density", "bias_derivative", "mise_leading"])
+def test_rejects_bad_bandwidth(expansion, b):
+    # every comparison with nan is False, so b must be checked for
+    # finiteness; mise_leading needs the check as much as the pointwise
+    # expansions
+    with pytest.raises(ValueError, match="bandwidth must be finite"):
+        expansion(b)
 
 
 class TestExpansionReport:
     def test_serialize_lists_components(self):
-        rep = var_density(GAMMA3, [1.0], 0.1, 1000, 0)
+        rep = var_density(GAMMA3, [1.0], 0.1, 1000)
         text = rep.serialize()
         assert text.splitlines()[0].startswith("value=")
         for key in rep.components:
