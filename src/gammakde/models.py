@@ -10,7 +10,14 @@ vectorized over the leading axes.
 """
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, gammaln
+from scipy.special import (
+    gammainc,
+    gammaincc,
+    gammainccinv,
+    gammaincinv,
+    gammaln,
+    ndtr,
+)
 
 __all__ = [
     "DensityModel",
@@ -19,6 +26,39 @@ __all__ = [
     "product_exponential",
     "from_pdf",
 ]
+
+# latent-normal table of GammaMarginal.from_normal: nodes z in
+# [-_Z_TABLE, _Z_TABLE] with step 1 / _Z_STEPS
+_Z_TABLE = 8.5
+_Z_STEPS = 16
+# at x <= 1.1 scipy evaluates gammaincc by a series that costs 1-5 us per
+# value for shape < 1.5; there the upper tail is not small, so from_normal
+# solves z > 0 on gammainc(k, x) = ndtr(z) too
+_X_UPPER_SERIES = 1.1
+
+
+def _normal_table(k):
+    """(z_lo, coef): cubic Hermite pieces of log x(z) for Gamma(k, 1).
+
+    x(z) solves F(x) = Phi(z). Row i holds the coefficients in
+    t = (z - z_i) * _Z_STEPS of the piece starting at z_i = -_Z_TABLE + i /
+    _Z_STEPS. Node slopes are the exact d log x / dz = phi(z) / (x g(x)).
+    The table is used for z in [z_lo, _Z_TABLE); z_lo rises above
+    -_Z_TABLE only for shapes so small that low nodes underflow.
+    """
+    z = np.linspace(-_Z_TABLE, _Z_TABLE, int(2 * _Z_TABLE * _Z_STEPS) + 1)
+    s = ndtr(-np.abs(z))
+    x = np.where(z < 0, gammaincinv(k, s), gammainccinv(k, s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log(x)
+        m = np.exp(-0.5 * z * z - 0.5 * np.log(2.0 * np.pi)
+                   - (k * y - x - gammaln(k))) / _Z_STEPS
+        dy = np.diff(y)
+        coef = np.stack([y[:-1], m[:-1], 3.0 * dy - 2.0 * m[:-1] - m[1:],
+                         m[:-1] + m[1:] - 2.0 * dy], axis=1)
+    # x rises with z, so the nodes that underflow are a prefix
+    first = np.count_nonzero(x < np.finfo(float).tiny)
+    return z[min(first, z.size - 1)], coef
 
 
 class GammaMarginal:
@@ -29,10 +69,14 @@ class GammaMarginal:
     """
 
     def __init__(self, shape, scale=1.0):
-        if shape <= 0 or scale <= 0:
-            raise ValueError("gamma shape and scale must be positive")
-        self.shape = float(shape)
-        self.scale = float(scale)
+        shape, scale = float(shape), float(scale)
+        if not (np.isfinite(shape) and np.isfinite(scale)
+                and shape > 0 and scale > 0):
+            raise ValueError("gamma shape and scale must be finite and "
+                             "positive")
+        self.shape = shape
+        self.scale = scale
+        self._table = None  # built by the first from_normal call
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -73,6 +117,50 @@ class GammaMarginal:
 
     def quantile(self, q):
         return self.scale * gammaincinv(self.shape, q)
+
+    def from_normal(self, z):
+        """The x with F(x) = Phi(z), for latent standard normal z.
+
+        Equals quantile(ndtr(z)) but never rounds Phi(z) near 1: it is
+        solved on the smaller tail, gammainc(k, x) = ndtr(z) for z <= 0
+        and gammaincc(k, x) = ndtr(-z) above (at x > 1.1, see
+        _X_UPPER_SERIES), to about 1e-14 relative.
+        A cached cubic Hermite table of log x in z gives a start within
+        1e-8 relative for k >= 0.5, and one Halley step finishes it. For
+        |z| >= 8.5 it is gammaincinv(k, ndtr(z)) or gammainccinv(k,
+        ndtr(-z)) directly.
+        """
+        k = self.shape
+        if self._table is None:
+            # racing threads build equal tables; one assignment publishes it
+            self._table = _normal_table(k)
+        z_lo, coef = self._table
+        z = np.asarray(z, dtype=float)
+        out_shape = z.shape
+        z = z.ravel()
+        far = ~((z >= z_lo) & (z < _Z_TABLE))
+        u = (np.where(far, 0.0, z) + _Z_TABLE) * _Z_STEPS
+        i = np.minimum(u.astype(np.intp), coef.shape[0] - 1)
+        t = u - i
+        c = coef.take(i, axis=0)
+        y = ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
+        x = np.exp(y)
+        # one Halley step on e(x) = P(k, x) - Phi(z), written where the
+        # upper tail is read directly as e = Phi(-z) - Q(k, x); e' = g and
+        # g'/g = (k - 1)/x - 1, so with r = e / (x g) the step is relative.
+        # Integer take/put: boolean indexing costs ~5x more here.
+        upper = (z > 0) & (x > _X_UPPER_SERIES)
+        lo, up = np.flatnonzero(~upper), np.flatnonzero(upper)
+        e = np.empty_like(x)
+        e[lo] = gammainc(k, x.take(lo)) - ndtr(z.take(lo))
+        e[up] = ndtr(-z.take(up)) - gammaincc(k, x.take(up))
+        r = e / np.exp(k * y - x - gammaln(k))
+        x = x * (1.0 - r / (1.0 - 0.5 * r * ((k - 1.0) - x)))
+        if far.any():
+            zf = z[far]
+            x[far] = np.where(zf < 0, gammaincinv(k, ndtr(zf)),
+                              gammainccinv(k, ndtr(-zf)))
+        return self.scale * x.reshape(out_shape)
 
 
 class DensityModel:

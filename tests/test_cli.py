@@ -156,10 +156,16 @@ BAD_INPUT = {
     "simulate-negative-tau": f"{SIM} --n-grid 100,200 --tau -1",
     "workers-zero": f"{SIM} --n-grid 100,200 --workers 0",
     "workers-negative": f"{SIM} --n-grid 100,200 --workers -3",
+    # non-finite marginal parameters
+    "simulate-gamma-nan": f"{SIM} --n-grid 100,200 --marginal gamma:nan,1",
+    "simulate-exp-nan": f"{SIM} --n-grid 100,200 --marginal exp:nan",
+    "bandwidth-gamma-inf": "bandwidth --which density --n 100 "
+                           "--model gamma:3,inf",
 }
 
-# integer lower bounds are checked while the arguments are parsed, so the
-# error names the flag, not whatever a rule or a reshape raises later
+# integer lower bounds and marginal parameters are checked while the
+# arguments are parsed, so the error names the flag or the parameter rule,
+# not whatever a rule, an integral or a reshape raises later
 BAD_INPUT_MESSAGE = {
     "n-zero": "argument --n: must be >= 1, got 0",
     "n-negative": "argument --n: must be >= 1, got -5",
@@ -168,6 +174,10 @@ BAD_INPUT_MESSAGE = {
     "simulate-negative-tau": "argument --tau: must be >= 0, got -1",
     "workers-zero": "argument --workers: must be >= 1, got 0",
     "workers-negative": "argument --workers: must be >= 1, got -3",
+    "simulate-gamma-nan": "gamma shape and scale must be finite and positive",
+    "simulate-exp-nan": "gamma shape and scale must be finite and positive",
+    "bandwidth-gamma-inf": "gamma shape and scale must be finite and "
+                           "positive",
 }
 
 

@@ -1,7 +1,11 @@
 """Reference-density model tests against scipy and finite differences."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from scipy.special import gammainccinv, gammaincinv, ndtr
 from scipy.stats import expon, gamma as gamma_dist
 
 from gammakde.models import (
@@ -56,6 +60,97 @@ class TestGammaMarginal:
             GammaMarginal(0.0)
         with pytest.raises(ValueError):
             GammaMarginal(1.0, -1.0)
+
+    @pytest.mark.parametrize("k,th", [(np.nan, 1.0), (3.0, np.nan),
+                                      (np.inf, 1.0), (3.0, np.inf)])
+    def test_rejects_non_finite_parameters(self, k, th):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            GammaMarginal(k, th)
+
+
+def _tail_reference(k, th, z):
+    """gammaincinv(k, ndtr(z)) for z <= 0, gammainccinv(k, ndtr(-z)) above."""
+    return th * np.where(z <= 0, gammaincinv(k, ndtr(z)),
+                         gammainccinv(k, ndtr(-z)))
+
+
+def _assert_relative(got, ref, rtol):
+    """Within rtol relative; exactly 0 where the reference underflows."""
+    zero = ref == 0.0
+    np.testing.assert_array_equal(got[zero], 0.0)
+    np.testing.assert_allclose(got[~zero], ref[~zero], rtol=rtol, atol=0.0)
+
+
+Z_WIDE = np.linspace(-37.0, 37.0, 20_001)
+
+
+class TestFromNormal:
+    @pytest.mark.parametrize("k", [0.5, 1.0, 3.0, 10.0, 100.0])
+    def test_matches_tail_inverse(self, k):
+        m = GammaMarginal(k, 1.7)
+        _assert_relative(m.from_normal(Z_WIDE), _tail_reference(k, 1.7, Z_WIDE),
+                         rtol=1e-13)
+
+    def test_exponential_closed_form(self):
+        th = 0.6
+        z = Z_WIDE
+        with np.errstate(divide="ignore"):
+            ref = th * np.where(z > 0, -np.log(ndtr(-z)),
+                                -np.log1p(-ndtr(z)))
+        _assert_relative(GammaMarginal(1.0, th).from_normal(z), ref,
+                         rtol=1e-13)
+
+    @pytest.mark.parametrize("k", [0.5, 3.0])
+    def test_nondecreasing(self, k):
+        # dense around the switches at 0 and +-8.5 and across the table
+        z = np.sort(np.concatenate([
+            np.linspace(-37.0, 37.0, 40_001),
+            np.linspace(-1e-9, 1e-9, 201),
+            np.linspace(-8.5 - 1e-9, -8.5 + 1e-9, 201),
+            np.linspace(8.5 - 1e-9, 8.5 + 1e-9, 201),
+        ]))
+        assert np.all(np.diff(GammaMarginal(k).from_normal(z)) >= 0.0)
+
+    def test_upper_tail_stays_finite(self):
+        # ndtr(z) rounds to 1 beyond z ~ 8.29, where quantile(ndtr(z)) is inf
+        m = GammaMarginal(3.0)
+        z = np.array([8.3, 9.0, 20.0, 37.0])
+        x = m.from_normal(z)
+        assert np.all(np.isfinite(x))
+        _assert_relative(x, gammainccinv(3.0, ndtr(-z)), rtol=1e-13)
+
+    def test_scalar_matches_array(self):
+        m = GammaMarginal(3.0, 2.0)
+        for z in (-9.0, -0.4, 0.0, 1.3, 12.0):
+            x = m.from_normal(z)
+            assert np.shape(x) == ()
+            assert x == m.from_normal(np.array([z]))[0]
+
+    def test_lazy_table_race_is_bitwise_stable(self):
+        m = GammaMarginal(2.5, 1.3)  # fresh: the first calls build the table
+        z = np.random.default_rng(5).standard_normal(20_000) * 3.0
+        start = threading.Barrier(4)
+        out = [None] * 4
+
+        def work(j):
+            start.wait(timeout=30)
+            out[j] = m.from_normal(z)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(j,))
+                       for j in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for x in out[1:]:
+            np.testing.assert_array_equal(x, out[0])
+        np.testing.assert_array_equal(m.from_normal(z), out[0])
 
 
 class TestProductModels:
