@@ -148,7 +148,8 @@ class GammaMarginal:
         # one Halley step on e(x) = P(k, x) - Phi(z), written where the
         # upper tail is read directly as e = Phi(-z) - Q(k, x); e' = g and
         # g'/g = (k - 1)/x - 1, so with r = e / (x g) the step is relative.
-        # Integer take/put: boolean indexing costs ~5x more here.
+        # Integer take/put: boolean indexing costs ~5x more here, and
+        # gammainc(..., where=mask) crashed the interpreter (scipy 1.17.1).
         upper = (z > 0) & (x > _X_UPPER_SERIES)
         lo, up = np.flatnonzero(~upper), np.flatnonzero(upper)
         e = np.empty_like(x)
