@@ -241,9 +241,11 @@ def main(argv=None):
         p_bw.error("--upsilon and --alpha-integral go together")
     try:
         return args.func(args)
-    except (argparse.ArgumentTypeError, OSError, ValueError) as exc:
+    except (argparse.ArgumentTypeError, MemoryError, OSError,
+            ValueError) as exc:
         # any of these raised while a command runs is reported as a usage
-        # error: one line and exit 2, no traceback
+        # error: one line and exit 2, no traceback; MemoryError is a grid
+        # or sample too large to allocate
         sub.choices[args.command].error(str(exc))
 
 

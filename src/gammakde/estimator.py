@@ -14,11 +14,13 @@ limit: K L ~ t^(rho-1) ln t -> 0 for x_a > 0, and c_i = 0 at x_a = 0.
 
 The sum over the sample is taken in chunks of at most
 cols = max(128, 2^20 // sum_j m_j) rows, for m_j nodes on axis j, so the
-kernel matrices of one chunk hold about 2^20 floats (8 MB). The rows are
-split as numpy's pairwise sum splits a row (half = n // 2, rounded down
-to a multiple of 8, recursively), the two halves' sums are added, and
-the total is divided by n once. Memory is O(cols * sum_j m_j) for the
-chunk plus one partial field of prod_j m_j values per level of the
+kernel matrices of one chunk hold about 2^20 floats (8 MB). They live in
+one workspace, allocated once per call and reused by every chunk, plus
+one more matrix for the derivative weights. The rows are split as
+numpy's pairwise sum splits a row (half = n // 2, rounded down to a
+multiple of 8, recursively), the two halves' sums are added, and the
+total is divided by n once. Memory is O(cols * sum_j m_j) for the
+workspace plus one partial field of prod_j m_j values per level of the
 split, log2(n / cols) levels. For d = 1 each chunk is a subtree of the
 pairwise sum over all n terms, so the estimate is bitwise the one-pass
 ``mean``. For d >= 2 it is bitwise the one-pass ``einsum`` while
@@ -142,11 +144,18 @@ def _check_axis(axis, d):
 
 def _field(data, axes, b, axis=None):
     """Estimate on the tensor grid ``axes``; the derivative along ``axis``."""
+    n = data.shape[0]
     cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(a.size for a in axes))
-    return _sum_terms(data, axes, b, axis, cols) / data.shape[0]
+    # the matrices of every chunk are written into these; they belong to
+    # this call alone, so concurrent calls share no memory
+    k = min(cols, n)
+    work = [np.empty(a.size * k) for a in axes]
+    if axis is not None:
+        work.append(np.empty(axes[axis].size * k))
+    return _sum_terms(data, axes, b, axis, cols, work) / n
 
 
-def _sum_terms(data, axes, b, axis, cols):
+def _sum_terms(data, axes, b, axis, cols, work):
     """Sum the per-observation terms over the rows of ``data``.
 
     Rows are split as numpy's pairwise sum splits a row, so for d = 1
@@ -156,18 +165,24 @@ def _sum_terms(data, axes, b, axis, cols):
     if n > cols:
         half = n // 2
         half -= half % 8
-        return (_sum_terms(data[:half], axes, b, axis, cols)
-                + _sum_terms(data[half:], axes, b, axis, cols))
+        return (_sum_terms(data[:half], axes, b, axis, cols, work)
+                + _sum_terms(data[half:], axes, b, axis, cols, work))
     mats = []
     for j, nodes in enumerate(axes):
         col = data[:, j]
-        mat = log_kernel_eval(col[None, :], nodes[:, None], b[j])
+        mat = work[j][: nodes.size * n].reshape(nodes.size, n)
+        log_kernel_eval(col[None, :], nodes[:, None], b[j], out=mat)
         np.exp(mat, out=mat)
         if j == axis:
+            c = work[-1][: mat.size].reshape(mat.shape)
             pos = col > 0.0
-            c = l_term(np.where(pos, col, 1.0)[None, :], nodes[:, None], b[j])
+            l_term(np.where(pos, col, 1.0)[None, :], nodes[:, None], b[j],
+                   out=c)
             c *= grad_prefactor(nodes, b[j])[:, None]
-            mat *= np.where((nodes > 0.0)[:, None] & pos, c, 0.0)
+            # c K = 0 where the observation or the node is 0
+            c[:, ~pos] = 0.0
+            c[nodes == 0.0] = 0.0
+            mat *= c
         mats.append(mat)
     if len(mats) == 1:
         return mats[0].sum(axis=1)

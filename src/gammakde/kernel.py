@@ -41,26 +41,34 @@ def rho(x, b):
     return r, interior
 
 
-def log_kernel_eval(t, x, b):
+def log_kernel_eval(t, x, b, out=None):
     """Log of the kernel, with the t = 0 limit handled explicitly.
 
     At t = 0 the kernel is 0 for shape > 1 and 1/b for shape = 1 (which
     occurs only at x = 0); the log is -inf and -ln b respectively.
+    ``out``, as for a numpy ufunc, is an array of the broadcast shape to
+    write the result into; it is returned.
     """
     t = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(t)) or np.any(t < 0.0):
         raise ValueError("kernel argument t must be finite and >= 0")
     _, b, r, _ = _shape(x, b)
+    res = out
+    if res is None:
+        res = np.empty(np.broadcast_shapes(t.shape, r.shape))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         logt = np.log(t)
-        out = (r - 1.0) * logt - t / b - r * np.log(b) - gammaln(r)
+        np.multiply(r - 1.0, logt, out=res)
+        np.subtract(res, t / b, out=res)
+        np.subtract(res, r * np.log(b), out=res)
+        np.subtract(res, gammaln(r), out=res)
     # t == 0: (r-1)*log(0) is -inf for r > 1 but nan for r == 1
     zero_t = t == 0.0
     if np.any(zero_t):
-        out = np.where(zero_t & (r == 1.0), -np.log(b), out)
-        out = np.where(zero_t & (r > 1.0), -np.inf, out)
-    return float(out) if out.ndim == 0 else out
+        np.copyto(res, -np.log(b), where=zero_t & (r == 1.0))
+        np.copyto(res, -np.inf, where=zero_t & (r > 1.0))
+    return float(res) if out is None and res.ndim == 0 else res
 
 
 def kernel_eval(t, x, b):
@@ -72,18 +80,19 @@ def kernel_eval(t, x, b):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def l_term(t, x, b):
+def l_term(t, x, b, out=None):
     """L(t, x, b) = ln t - ln b - Psi(rho(x, b)).
 
     The factor turning the kernel into its own x-derivative. Requires
-    t > 0 (log singularity at 0).
+    t > 0 (log singularity at 0). ``out`` is a destination array, as
+    for a numpy ufunc.
     """
     t = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
         raise ValueError("l_term requires t > 0")
     _, b, r, _ = _shape(x, b)
-    out = np.log(t) - np.log(b) - digamma(r)
-    return float(out) if np.ndim(out) == 0 else out
+    res = np.subtract(np.log(t) - np.log(b), digamma(r), out=out)
+    return float(res) if out is None and np.ndim(res) == 0 else res
 
 
 def grad_prefactor(x, b):

@@ -161,6 +161,10 @@ BAD_INPUT = {
     "simulate-exp-nan": f"{SIM} --n-grid 100,200 --marginal exp:nan",
     "bandwidth-gamma-inf": "bandwidth --which density --n 100 "
                            "--model gamma:3,inf",
+    # a 1e15-node field (7.11 PiB): past any address space, so the
+    # allocation is refused at once and no memory is touched
+    "field-too-large": "estimate --input {short} --output {out} --tau 2 "
+                       "--b 0.5 --grid 0:1:100000;0:1:100000;0:1:100000",
 }
 
 # integer lower bounds and marginal parameters are checked while the
@@ -178,6 +182,7 @@ BAD_INPUT_MESSAGE = {
     "simulate-exp-nan": "gamma shape and scale must be finite and positive",
     "bandwidth-gamma-inf": "gamma shape and scale must be finite and "
                            "positive",
+    "field-too-large": "Unable to allocate",
 }
 
 

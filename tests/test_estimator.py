@@ -6,8 +6,10 @@ kernel matrices. Agreement is required to near machine precision.
 """
 
 import itertools
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -320,18 +322,40 @@ class TestChunkedEngine:
         else:
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
-    def test_memory_bounded_by_chunk(self):
+    @pytest.mark.parametrize("kind", ["density", "derivative"])
+    def test_memory_bounded_by_chunk(self, kind):
         # the full 200 x 2e5 kernel matrix alone would take 320 MB
         data = _sample(1, n=200_000)
+        data[::5] = 0.0
         axes = [np.linspace(0.0, 12.0, 200)]
         tracemalloc.start()
         try:
-            field_on_grid(data, axes, 0.1)
+            field_on_grid(data, axes, 0.1, kind=kind)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 32e6
 
+    def test_threads_share_no_workspace(self, monkeypatch):
+        # 33 chunks per call, each written into the workspace of its call;
+        # a workspace shared between calls would mix the threads' chunks
+        data = _sample(1, n=4097, seed=3)
+        data[::5] = 0.0
+        axes = [np.linspace(0.0, 6.0, 40)]
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMS", 1)
+        want = field_on_grid(data, axes, 0.2, kind="derivative").values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(field_on_grid, data, axes, 0.2,
+                                       kind="derivative")
+                           for _ in range(32)]
+                got = [f.result(timeout=60).values for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for values in got:
+            assert values.tobytes() == want.tobytes()
 
 def _write(path, text):
     with open(path, "w", newline="") as fh:

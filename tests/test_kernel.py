@@ -183,3 +183,34 @@ class TestKernelGradX:
         # d/dx of a normalized family: integral of the gradient is 0
         total = quad(kernel_grad_x, 1e-12, 12.0, args=(1.0, 0.1), limit=200)[0]
         assert total == pytest.approx(0.0, abs=1e-8)
+
+
+class TestOutArgument:
+    # nodes at 0 (shape 1), on the boundary branch and on the interior
+    # branch; the engine writes into views of one flat workspace
+    B = 0.1
+    X = np.array([0.0, 0.05, 0.15, 1.0])[:, None]
+
+    def _buffer(self, shape):
+        flat = np.full(2 * int(np.prod(shape)), np.nan)
+        return flat[: int(np.prod(shape))].reshape(shape)
+
+    def test_log_kernel_eval_fills_out(self):
+        t = np.array([0.0, 0.02, 0.3, 1.0, 4.0])[None, :]
+        want = log_kernel_eval(t, self.X, self.B)
+        buf = self._buffer(want.shape)
+        got = log_kernel_eval(t, self.X, self.B, out=buf)
+        assert got is buf
+        assert buf.tobytes() == want.tobytes()
+        # the t = 0 limits: -ln b at shape 1 (x = 0), -inf for x > 0
+        assert buf[0, 0] == -np.log(self.B)
+        assert np.all(buf[1:, 0] == -np.inf)
+
+    def test_l_term_fills_out(self):
+        t = np.array([0.02, 0.3, 1.0, 4.0])[None, :]
+        want = l_term(t, self.X, self.B)
+        buf = self._buffer(want.shape)
+        got = l_term(t, self.X, self.B, out=buf)
+        assert got is buf
+        assert buf.tobytes() == want.tobytes()
+
