@@ -146,8 +146,9 @@ def _field(data, axes, b, axis=None):
     """Estimate on the tensor grid ``axes``; the derivative along ``axis``."""
     n = data.shape[0]
     cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(a.size for a in axes))
-    # the matrices of every chunk are written into these; they belong to
-    # this call alone, so concurrent calls share no memory
+    # every chunk writes its kernel matrices into these, one per axis and
+    # a last one for the derivative weights; they belong to this call
+    # alone, so concurrent calls share no memory
     k = min(cols, n)
     work = [np.empty(a.size * k) for a in axes]
     if axis is not None:

@@ -143,7 +143,9 @@ class TestDensityPartialAt:
         data = np.array([[1.0, 0.5], [2.0, 0.0]])
         pos = data[data[:, 1] > 0.0]
         b = np.array([0.1, 0.1])
-        for xa in (0.15, 1.0):  # boundary and interior branch
+        # boundary and interior branch; at 1e-9 the boundary shape
+        # rounds to 1, so K(0) = 1/b and only the weight gives 0
+        for xa in (1e-9, 0.15, 1.0):
             want = (_naive_partial(pos, [1.0, xa], b, 1) * len(pos)
                     / len(data))
             got = density_partial_at(data, [1.0, xa], b, axis=1)
@@ -356,6 +358,7 @@ class TestChunkedEngine:
             sys.setswitchinterval(interval)
         for values in got:
             assert values.tobytes() == want.tobytes()
+
 
 def _write(path, text):
     with open(path, "w", newline="") as fh:

@@ -192,8 +192,8 @@ class TestOutArgument:
     X = np.array([0.0, 0.05, 0.15, 1.0])[:, None]
 
     def _buffer(self, shape):
-        flat = np.full(2 * int(np.prod(shape)), np.nan)
-        return flat[: int(np.prod(shape))].reshape(shape)
+        size = int(np.prod(shape))
+        return np.full(2 * size, np.nan)[:size].reshape(shape)
 
     def test_log_kernel_eval_fills_out(self):
         t = np.array([0.0, 0.02, 0.3, 1.0, 4.0])[None, :]
