@@ -18,6 +18,12 @@ The reference integrals carry per-axis x^(-1/2) weights, so each axis
 is integrated under the substitution x = u^2 (or a higher power for the
 mixing numerator), which removes the origin singularity exactly for
 integrable references and exposes genuinely divergent ones.
+
+The integrands are formed on an open grid: one coordinate array per
+axis, broadcast against the others. A product reference evaluates each
+marginal once per axis instead of once per grid node, and any other
+model is evaluated on the stacked points; both give the same bits. The
+grid is integrated in slabs of axis 0, so memory stays at one slab.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +33,7 @@ import numpy as np
 
 from . import estimator
 from .models import product_gamma
-from .quadrature import grid_points, trapezoid_nd
+from .quadrature import trapezoid_nd
 from .theory import _TWO_SQRT_PI, _curvature_sum
 
 __all__ = [
@@ -38,6 +44,12 @@ __all__ = [
     "mixing_bandwidth",
     "plug_in_bandwidth",
 ]
+
+
+# trapezoid nodes per axis of the reference-rule grids, by dimension
+_RULE_NODES = {1: 4001, 2: 801, 3: 301}
+# grid nodes integrated at once: a slab of axis 0 holds about this many
+_SLAB_ELEMS = 1 << 21
 
 
 class DivergentIntegralError(ValueError):
@@ -79,13 +91,16 @@ class BandwidthRule:
 def _power_sub_integrals(m, integrands, p, names):
     """Integrals over model m's box after the substitution x_j = u_j^p.
 
-    ``integrands(x)`` maps points x of shape (..., d) to one array per
-    name, so the model is evaluated once per grid; the p u^(p-1) Jacobian
-    is applied here. The box runs from a tiny cutoff to the per-axis
-    quantile leaving out 1e-7 of the mass, and first a cutoff-sensitivity
-    check flags each integrand that diverges at the origin. The grid has
-    301 nodes per axis from d = 3 on, so d >= 4 (8e9 nodes) is refused
-    before anything is built.
+    ``integrands(x)`` maps an open grid x, one coordinate array per axis
+    that broadcasts against the others, to one array per name; the
+    p u^(p-1) Jacobian is applied here. The box runs from a tiny cutoff
+    to the per-axis quantile leaving out 1e-7 of the mass, and first a
+    cutoff-sensitivity check flags each integrand that diverges at the
+    origin. The grid is taken in slabs of axis 0 of about _SLAB_ELEMS
+    nodes: each slab is integrated over its other axes, then the row
+    integrals over axis 0, which is the iterated trapezoid rule of the
+    whole grid, bit for bit. The grid has 301 nodes per axis at d = 3, so
+    d >= 4 (8e9 nodes) is refused before anything is built.
     """
     if m.dim > 3:
         raise ValueError("rule integrals support at most 3 dimensions "
@@ -108,7 +123,7 @@ def _power_sub_integrals(m, integrands, p, names):
         u[j] = uj
         jac = np.prod(p * u ** (p - 1.0))
         return [float(np.ravel(v)[0]) * jac
-                for v in integrands(u[None, :] ** p)]
+                for v in integrands(list((u ** p)[:, None]))]
 
     probes = [(_w(j, cut), _w(j, 0.5 * cut)) for j in range(d)]
     for i, name in enumerate(names):
@@ -122,34 +137,68 @@ def _power_sub_integrals(m, integrands, p, names):
                     "reference keeps it finite)"
                 )
 
-    nodes = {1: 4001, 2: 801}.get(d, 301)
+    nodes = _RULE_NODES[d]
     axes = [np.linspace(0.25 * cut, uh, nodes) for uh in u_hi]
     # the Jacobian is an outer product of per-axis factors, and the grid
-    # is never held in u: only x and the integrands take full-grid memory
-    jac = reduce(np.multiply.outer, [p * a ** (p - 1.0) for a in axes])
-    values = integrands(grid_points([a**p for a in axes]))
-    out = []
-    for name, vals in zip(names, values):
-        vals = vals * jac
-        if not np.all(np.isfinite(vals)):
-            raise DivergentIntegralError(
-                f"{name}: non-finite integrand near the origin"
-            )
-        out.append(trapezoid_nd(vals, axes))
-    return out
+    # is held neither in u nor in x: only a slab's Jacobian and
+    # integrands take memory of the grid's order
+    jacs = [p * a ** (p - 1.0) for a in axes]
+    xs = [a**p for a in axes]
+    rows = max(1, _SLAB_ELEMS // nodes ** (d - 1))
+    out = [np.empty(nodes) for _ in names]
+    for lo in range(0, nodes, rows):
+        slab = slice(lo, lo + rows)
+        jac = reduce(np.multiply.outer, [jacs[0][slab]] + jacs[1:])
+        values = integrands(np.ix_(xs[0][slab], *xs[1:]))
+        for name, vals, acc in zip(names, values, out):
+            vals = vals * jac
+            if not np.all(np.isfinite(vals)):
+                raise DivergentIntegralError(
+                    f"{name}: non-finite integrand near the origin"
+                )
+            for a in reversed(axes[1:]):
+                vals = np.trapezoid(vals, a, axis=-1)
+            acc[slab] = vals
+    return [trapezoid_nd(acc, axes[:1]) for acc in out]
+
+
+def _density_terms(m, x, curvature=True):
+    """(f, sum_j x_j f_jj) of model m on the open grid x.
+
+    A product model evaluates each marginal once on its own axis and
+    forms the products by broadcasting, in the order of the stacked
+    evaluation (products from axis 0 up, the curvature summed from axis
+    0 up), so both give the same bits. Any other model is evaluated on
+    the stacked points. The curvature is None unless asked for.
+    """
+    if m.marginals is None:
+        pts = np.stack(np.broadcast_arrays(*x), axis=-1)
+        f = np.asarray(m.pdf(pts))
+        return f, _curvature_sum(m, pts) if curvature else None
+    g = [mg.pdf(xj) for mg, xj in zip(m.marginals, x)]
+    f = reduce(np.multiply, g)
+    if not curvature:
+        return f, None
+    g2 = [mg.d2(xj) for mg, xj in zip(m.marginals, x)]
+    curv = reduce(np.add, [
+        xj * reduce(np.multiply, g[:j] + [g2[j]] + g[j + 1:])
+        for j, xj in enumerate(x)
+    ])
+    return f, curv
 
 
 def _rule_integrands(which, x, f, curv):
     """Numerator and denominator integrands of the density or derivative
-    rule at points x, from the density f and curv = sum_j x_j f_jj.
+    rule on the open grid x (one broadcastable coordinate array per
+    axis), from the density f and curv = sum_j x_j f_jj.
 
     density:    f prod_j x_j^(-1/2) / (2 sqrt(pi))^d  and  curv^2;
     derivative: f prod_j x_j^(-1/2) / x_n  and  (f/(3 x_n^2) + curv/x_n)^2.
     """
-    root = np.prod(np.sqrt(x), axis=-1)
+    root = reduce(np.multiply, [np.sqrt(xj) for xj in x])
     if which == "density":
-        return f / _TWO_SQRT_PI ** x.shape[-1] / root, curv**2
-    xn = x[..., -1]
+        return f / _TWO_SQRT_PI ** len(x) / root, curv**2
+    xn = x[-1]
     return f / xn / root, (f / (3.0 * xn**2) + curv / xn) ** 2
 
 
@@ -167,8 +216,7 @@ def _rule_constant(which, tau, num, den):
 def _reference_integrals(m, which):
     """(numerator, denominator) of a rule for an analytic model."""
     def integrands(x):
-        return _rule_integrands(which, x, np.asarray(m.pdf(x)),
-                                _curvature_sum(m, x))
+        return _rule_integrands(which, x, *_density_terms(m, x))
     return _power_sub_integrals(
         m, integrands, 2.0,
         [f"{which}-rule numerator", f"{which}-rule denominator"],
@@ -232,8 +280,9 @@ def mixing_bandwidth(m, n, mp):
     d_coef = 2.0 * (2.0 * np.pi) ** (-(tau * (u + 1.0) + u - 1.0) / 2.0)
 
     def integrands(x):
-        w = np.prod(x ** (-(u + 1.0) / 2.0), axis=-1)
-        return [d_coef * w * np.asarray(m.pdf(x)) ** (1.0 - u)]
+        w = reduce(np.multiply, [xj ** (-(u + 1.0) / 2.0) for xj in x])
+        f, _ = _density_terms(m, x, curvature=False)
+        return [d_coef * w * f ** (1.0 - u)]
 
     # per-axis substitution x = v^p with p = 2/(1-u) flattens the
     # x^(-(u+1)/2) weight exactly
@@ -299,14 +348,13 @@ def _pilot_functionals(data, b, which):
     axes = [np.linspace(lo, hi[j], nodes) for j in range(d)]
     f = estimator.field_on_grid(data, axes, np.full(d, b),
                                 kind="density").values
-    pts = grid_points(axes)
+    x = np.ix_(*axes)
     curv = sum(
-        pts[..., j]
-        * np.gradient(np.gradient(f, axes[j], axis=j), axes[j], axis=j)
+        x[j] * np.gradient(np.gradient(f, axes[j], axis=j), axes[j], axis=j)
         for j in range(d)
     )
     return [trapezoid_nd(v, axes)
-            for v in _rule_integrands(which, pts, f, curv)]
+            for v in _rule_integrands(which, x, f, curv)]
 
 
 def plug_in_bandwidth(sample, tau, which="density", stages=1):

@@ -49,10 +49,15 @@ def _parse_grid(spec):
     for part in spec.split(";"):
         try:
             lo, hi, num = part.split(":")
-            axes.append(np.linspace(float(lo), float(hi), int(num)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                nodes = np.linspace(float(lo), float(hi), int(num))
         except ValueError:
             raise ValueError(
                 f"bad --grid axis '{part}': expected lo:hi:num") from None
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError(f"bad --grid axis '{part}': nodes are not "
+                             "finite floats")
+        axes.append(nodes)
     return axes
 
 
@@ -66,7 +71,7 @@ def _default_grid(data, num=50):
 
 def _resolve_bandwidth(args, data, tau, which):
     if args.b is not None:
-        return float(args.b), "fixed"
+        return args.b, "fixed"
     if args.rule == "plugin":
         rule = bw.plug_in_bandwidth(data, tau, which=which, stages=args.stages)
         return rule.bandwidth(data.shape[0]), f"rule {rule.kind} (C={rule.C:.6g})"
@@ -129,7 +134,7 @@ def run_simulate(args):
     spec = simulate.MixingProcessSpec(marginal, phi=args.phi)
 
     if args.b is not None:
-        bandwidth = float(args.b)
+        bandwidth = args.b
     else:
         d = args.tau + 1
         model = product_gamma([marginal.shape] * d, [marginal.scale] * d)
@@ -179,6 +184,18 @@ def _int_at_least(low):
     return parse
 
 
+def _positive_float(text):
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse names it in "invalid float"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="gammakde",
@@ -195,7 +212,7 @@ def main(argv=None):
                        default="density")
     p_est.add_argument("--axis", type=int, default=None)
     chosen = p_est.add_mutually_exclusive_group()
-    chosen.add_argument("--b", type=float, default=None)
+    chosen.add_argument("--b", type=_positive_float, default=None)
     chosen.add_argument("--rule", choices=["plugin"], default=None)
     p_est.add_argument("--stages", type=int, choices=[1, 2], default=1)
     p_est.add_argument("--grid", default=None,
@@ -226,7 +243,7 @@ def main(argv=None):
     p_sim.add_argument("--phi", type=float, default=0.0)
     p_sim.add_argument("--marginal", type=_parse_marginal, default="exp:1.0",
                        help="exp:RATE | gamma:SHAPE,SCALE")
-    p_sim.add_argument("--b", type=float, default=None)
+    p_sim.add_argument("--b", type=_positive_float, default=None)
     p_sim.add_argument("--workers", type=_int_at_least(1), default=1)
     p_sim.set_defaults(func=run_simulate)
 

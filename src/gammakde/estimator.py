@@ -153,7 +153,16 @@ def _field(data, axes, b, axis=None):
     work = [np.empty(a.size * k) for a in axes]
     if axis is not None:
         work.append(np.empty(axes[axis].size * k))
-    return _sum_terms(data, axes, b, axis, cols, work) / n
+    # past the float range a log kernel runs to -inf, a kernel of 0, and
+    # the terms to inf or nan, which only a non-finite total shows
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = _sum_terms(data, axes, b, axis, cols, work) / n
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ValueError(f"the estimate is not finite at {bad} of "
+                         f"{values.size} nodes: x/b or 1/b leaves the "
+                         "floating-point range")
+    return values
 
 
 def _sum_terms(data, axes, b, axis, cols, work):

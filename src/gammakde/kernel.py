@@ -24,8 +24,14 @@ def _shape(x, b):
         raise ValueError("evaluation coordinate x must be finite and >= 0")
     if np.any(~np.isfinite(b)) or np.any(b <= 0.0):
         raise ValueError("bandwidth b must be finite and > 0")
-    interior = x >= 2.0 * b
-    r = np.where(interior, x / b, (x / (2.0 * b)) ** 2 + 1.0)
+    # both branches are computed everywhere: the unused one may overflow
+    with np.errstate(over="ignore"):
+        two_b = 2.0 * b
+        interior = x >= two_b
+        r = np.where(interior, x / b, (x / two_b) ** 2 + 1.0)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("x/b overflows: the kernel shape is not finite "
+                         "at every evaluation point")
     return x, b, r, interior
 
 

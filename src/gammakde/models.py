@@ -176,13 +176,16 @@ class DensityModel:
     mixed(x, a, j) -> (...,)      d^2 f / dx_a dx_j
     quantile(q) -> (d,) or None   per-axis marginal quantiles
 
+    ``marginals`` lists the per-axis factors of a product density (each
+    with ``pdf`` and ``d2`` over arrays), or is None.
+
     At construction grad is checked against central finite differences
     of pdf on a probe grid, within 1e-4 relative plus 1e-7 absolute; the
     higher derivatives are not checked.
     """
 
     def __init__(self, dim, pdf, grad, hess_diag, third, mixed,
-                 quantile=None, probe=None):
+                 quantile=None, probe=None, marginals=None):
         self.dim = int(dim)
         self.pdf = pdf
         self.grad = grad
@@ -190,6 +193,7 @@ class DensityModel:
         self.third = third
         self.mixed = mixed
         self.quantile = quantile
+        self.marginals = marginals
         self._validate(probe)
 
     def _validate(self, probe):
@@ -257,7 +261,7 @@ def _product_model(marginals):
         return np.array([m.quantile(q) for m in marginals])
 
     return DensityModel(d, pdf, grad, hess_diag, third, mixed,
-                        quantile=quantile)
+                        quantile=quantile, marginals=marginals)
 
 
 def product_gamma(shapes, scales=1.0):

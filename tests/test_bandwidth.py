@@ -1,10 +1,13 @@
 """Bandwidth-rule tests: closed-form constants, divergence detection,
 plug-in behavior, and first-order optimality of the mixing rule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from gammakde import bandwidth
 from gammakde.bandwidth import (
     BandwidthRule,
     DivergentIntegralError,
@@ -13,7 +16,12 @@ from gammakde.bandwidth import (
     mixing_bandwidth,
     plug_in_bandwidth,
 )
-from gammakde.models import from_pdf, product_exponential, product_gamma
+from gammakde.models import (
+    DensityModel,
+    from_pdf,
+    product_exponential,
+    product_gamma,
+)
 from gammakde.theory import MixingProfile, mise_leading
 
 
@@ -133,34 +141,114 @@ class TestSeparableReference:
         rule = derivative_bandwidth(product_gamma([3.0, 3.0]), 1000)
         assert rule.C == pytest.approx(want, rel=2e-5)
 
+    def test_three_dimensional_density_rule(self):
+        # num = (int g/(2 sqrt(pi x)))^3, den = 3 A B^2 + 6 D^2 B; the
+        # 301^3 grid is integrated in slabs, so the peak stays well below
+        # the dozen 218 MB full-grid arrays its integrands would take
+        g, g2, quad = self._g, self._g2, self._quad
+        num = quad(lambda x: g(x) / (2.0 * np.sqrt(np.pi * x))) ** 3
+        A = quad(lambda x: (x * g2(x)) ** 2)
+        B = quad(lambda x: g(x) ** 2)
+        D = quad(lambda x: x * g(x) * g2(x))
+        want = (3.0 * num / (3.0 * A * B * B + 6.0 * D * D * B)) ** (2 / 7)
+        tracemalloc.start()
+        try:
+            rule = density_bandwidth(product_gamma([3.0, 3.0, 3.0]), 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rule.C == pytest.approx(want, rel=1e-6)
+        assert peak < 300e6
 
-def _count_grid_evaluations(m):
-    """Wrap m.pdf and m.hess_diag to count calls on more than one point."""
-    calls = {"pdf": 0, "hess_diag": 0}
-    for name in calls:
-        def counted(x, _fn=getattr(m, name), _name=name):
-            x = np.asarray(x)
-            calls[_name] += x.size > x.shape[-1]
-            return _fn(x)
-        setattr(m, name, counted)
-    return calls
+
+def _count_marginal_values(m):
+    """Wrap each marginal's pdf and d2 to record how many values every
+    call from outside the marginal is made on (d2 calls pdf itself)."""
+    sizes = {"pdf": [], "d2": []}
+    inside = []
+    for g in m.marginals:
+        for name in sizes:
+            def counted(x, _fn=getattr(g, name), _name=name):
+                if not inside:
+                    sizes[_name].append(np.size(x))
+                inside.append(_name)
+                try:
+                    return _fn(x)
+                finally:
+                    inside.pop()
+            setattr(g, name, counted)
+    return sizes
+
+
+def _grid_calls(sizes):
+    # the origin probes call on one value each; the grid calls on more
+    return {name: [s for s in calls if s > 1] for name, calls in sizes.items()}
 
 
 @pytest.mark.parametrize("rule", [density_bandwidth, derivative_bandwidth])
 def test_one_model_evaluation_per_grid(rule):
-    m = product_gamma([3.0])
-    calls = _count_grid_evaluations(m)
+    # each marginal is evaluated once on its own 801-node axis of the
+    # 801^2 grid, never on the grid itself
+    m = product_gamma([3.0, 3.0])
+    sizes = _count_marginal_values(m)
     rule(m, 1000)
-    assert calls == {"pdf": 1, "hess_diag": 1}
+    assert _grid_calls(sizes) == {"pdf": [801, 801], "d2": [801, 801]}
 
 
 def test_mixing_rule_evaluates_once_per_grid():
-    # the numerator has its own power substitution, hence its own grid
-    m = product_gamma([3.0])
-    calls = _count_grid_evaluations(m)
+    # the numerator has its own power substitution, hence its own grid,
+    # and needs no curvature
+    m = product_gamma([3.0, 3.0])
+    sizes = _count_marginal_values(m)
     mixing_bandwidth(m, 1000, MixingProfile(upsilon=0.5,
                                                alpha_integral=2.0))
-    assert calls == {"pdf": 2, "hess_diag": 1}
+    assert _grid_calls(sizes) == {"pdf": [801] * 4, "d2": [801, 801]}
+
+
+def _stacked(m):
+    """m with its marginals hidden: the rules then evaluate its pdf and
+    hess_diag on stacked (..., d) points."""
+    return DensityModel(m.dim, m.pdf, m.grad, m.hess_diag, m.third,
+                        m.mixed, quantile=m.quantile)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_open_grid_matches_stacked_grid_bitwise(monkeypatch, d):
+    if d == 3:
+        # a 41^3 grid in slabs of 6 rows, the last one short, keeps the
+        # stacked evaluation quick
+        monkeypatch.setattr(bandwidth, "_RULE_NODES", {3: 41})
+        monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41 * 41)
+    m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
+    stacked = _stacked(m)
+    # the integrals average away most last-bit differences, so the
+    # integrands are compared node by node first
+    x = np.ix_(*[np.linspace(0.01, 12.0, 41)] * d)
+    for got, want in zip(bandwidth._density_terms(m, x),
+                         bandwidth._density_terms(stacked, x)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for which in ("density", "derivative"):
+        open_grid = bandwidth._reference_integrals(m, which)
+        want = bandwidth._reference_integrals(stacked, which)
+        assert [v.hex() for v in open_grid] == [v.hex() for v in want]
+    mp = MixingProfile(upsilon=0.5, alpha_integral=2.0)
+    open_grid = mixing_bandwidth(m, 1000, mp).metadata["numerator"]
+    want = mixing_bandwidth(stacked, 1000, mp).metadata["numerator"]
+    assert open_grid.hex() == want.hex()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_slab_size_does_not_change_bits(monkeypatch, d):
+    # slabs of 1 row, of 6 rows with a short last one, and the whole grid
+    monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41, 3: 41})
+    m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
+    got = set()
+    for rows in (1, 6, 41):
+        monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", rows * 41 ** (d - 1))
+        got.add(tuple(v.hex() for which in ("density", "derivative")
+                      for v in bandwidth._reference_integrals(m, which)))
+    assert len(got) == 1
 
 
 @pytest.mark.parametrize("n", [0, -5])

@@ -161,13 +161,24 @@ BAD_INPUT = {
     "simulate-exp-nan": f"{SIM} --n-grid 100,200 --marginal exp:nan",
     "bandwidth-gamma-inf": "bandwidth --which density --n 100 "
                            "--model gamma:3,inf",
+    # bandwidths that are not finite positive floats
+    "simulate-b-nan": "simulate --output {out} --seed 1 --n-grid 100,200 "
+                      "--b nan",
+    "estimate-b-inf": f"{EST} --b inf",
+    # x/b past the largest float at the nodes 5e307 and 1e308
+    "shape-overflow": "estimate --input {short} --output {out} --b 0.1 "
+                      "--grid 0:1e308:3",
+    # x/b = 1e306 is finite, but its log kernel is inf - inf
+    "estimate-not-finite": "estimate --input {short} --output {out} "
+                           "--b 1e-300 --grid 1e6:1e6:1",
+    "grid-overflow": f"{EST} --b 0.3 --grid=-1e308:1e308:3",
     # a 1e15-node field (7.11 PiB): past any address space, so the
     # allocation is refused at once and no memory is touched
     "field-too-large": "estimate --input {short} --output {out} --tau 2 "
                        "--b 0.5 --grid 0:1:100000;0:1:100000;0:1:100000",
 }
 
-# integer lower bounds and marginal parameters are checked while the
+# integer lower bounds, bandwidths and marginal parameters are checked while the
 # arguments are parsed, so the error names the flag or the parameter rule,
 # not whatever a rule, an integral or a reshape raises later
 BAD_INPUT_MESSAGE = {
@@ -183,6 +194,12 @@ BAD_INPUT_MESSAGE = {
     "bandwidth-gamma-inf": "gamma shape and scale must be finite and "
                            "positive",
     "field-too-large": "Unable to allocate",
+    "simulate-b-nan": "argument --b: must be finite and > 0, got nan",
+    "estimate-b-inf": "argument --b: must be finite and > 0, got inf",
+    "shape-overflow": "x/b overflows",
+    "estimate-not-finite": "the estimate is not finite at 1 of 1 nodes",
+    "grid-overflow": "bad --grid axis '-1e308:1e308:3': nodes are not "
+                     "finite",
 }
 
 
