@@ -37,6 +37,19 @@ class TestEstimate:
         assert "provenance=fixed" in text
         assert "wrote 7 nodes" in text
 
+    def test_golden_file_byte_identical_with_node_blocks(self, tmp_path,
+                                                         monkeypatch):
+        # the 7 nodes cut into blocks of 2, 2 and 3, one thread each
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
+        out = tmp_path / "field.csv"
+        rc = main([
+            "estimate", "--input", str(MINI), "--output", str(out),
+            "--b", "0.3", "--grid", "0.2:2.0:7",
+        ])
+        assert rc == 0
+        assert out.read_bytes() == GOLDEN.read_bytes()
+
     def test_golden_values_match_brute_force(self):
         sample = np.loadtxt(MINI)
         rows = np.loadtxt(GOLDEN, delimiter=",")
@@ -205,6 +218,19 @@ BAD_INPUT_MESSAGE = {
 
 @pytest.mark.parametrize("key", BAD_INPUT, ids=BAD_INPUT.keys())
 def test_bad_input_is_usage_error(tmp_path, capsys, key):
+    _assert_usage_error(tmp_path, capsys, key)
+
+
+@pytest.mark.parametrize("key", ["shape-overflow", "field-too-large"])
+def test_bad_input_with_node_blocks(tmp_path, capsys, monkeypatch, key):
+    # the error is raised in a worker thread of the split field
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
+    err = _assert_usage_error(tmp_path, capsys, key)
+    assert err.count("error:") == 1
+
+
+def _assert_usage_error(tmp_path, capsys, key):
     short = tmp_path / "short.csv"
     short.write_text("1.0\n2.0\n0.5\n")
     pair = tmp_path / "pair.csv"
@@ -220,6 +246,7 @@ def test_bad_input_is_usage_error(tmp_path, capsys, key):
     assert BAD_INPUT_MESSAGE.get(key, "") in err
     assert "Traceback" not in err
     assert not out.exists()
+    return err
 
 
 # `gammakde bandwidth` runs whose concatenated output is pinned, byte for

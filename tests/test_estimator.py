@@ -293,6 +293,39 @@ def _one_pass(data, axes, b, axis):
             np.einsum(spec, *[np.abs(m) for m in mats]) / n)
 
 
+def _field_peak(kind):
+    """tracemalloc peak of a field whose whole kernel matrix is 320 MB."""
+    data = _sample(1, n=200_000)
+    data[::5] = 0.0
+    axes = [np.linspace(0.0, 12.0, 200)]
+    tracemalloc.start()
+    try:
+        field_on_grid(data, axes, 0.1, kind=kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _force_blocks(monkeypatch, cpus):
+    """Split every field run on the main thread over ``cpus`` threads."""
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
+
+
+def _record_pools(monkeypatch):
+    """The thread count of each pool the estimator starts, in order."""
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(estimator, "ThreadPoolExecutor", Recording)
+    return sizes
+
+
 class TestChunkedEngine:
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 129, 1000, 4097])
     @pytest.mark.parametrize("kind", ["density", "derivative"])
@@ -326,17 +359,15 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("kind", ["density", "derivative"])
     def test_memory_bounded_by_chunk(self, kind):
-        # the full 200 x 2e5 kernel matrix alone would take 320 MB
-        data = _sample(1, n=200_000)
-        data[::5] = 0.0
-        axes = [np.linspace(0.0, 12.0, 200)]
-        tracemalloc.start()
-        try:
-            field_on_grid(data, axes, 0.1, kind=kind)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
+        assert _field_peak(kind) < 32e6
+
+    @pytest.mark.parametrize("kind", ["density", "derivative"])
+    def test_memory_bounded_by_chunk_with_node_blocks(self, monkeypatch,
+                                                      kind):
+        _force_blocks(monkeypatch, 4)
+        pools = _record_pools(monkeypatch)
+        assert _field_peak(kind) < 32e6
+        assert pools == [4]
 
     def test_threads_share_no_workspace(self, monkeypatch):
         # 33 chunks per call, each written into the workspace of its call;
@@ -358,6 +389,99 @@ class TestChunkedEngine:
             sys.setswitchinterval(interval)
         for values in got:
             assert values.tobytes() == want.tobytes()
+
+
+class TestNodeBlocks:
+    """Fields cut into blocks of axis-0 nodes, one thread per block."""
+
+    @pytest.mark.parametrize("chunk", [None, 1], ids=["default", "smallest"])
+    @pytest.mark.parametrize("m0", [1, 2, 3, 7])
+    @pytest.mark.parametrize("d,axis", [
+        (1, None), (1, 0), (2, None), (2, 0), (2, 1),
+        (3, None), (3, 0), (3, 2),
+    ])
+    def test_bytes_equal_one_block(self, monkeypatch, d, axis, m0, chunk):
+        data = _sample(d, n=1500, seed=m0)
+        data[::7, 0] = 0.0
+        data[::5, d - 1] = 0.0
+        first = np.linspace(0.0, 4.0, m0) if m0 > 1 else np.array([0.7])
+        axes = [first] + [np.linspace(0.0, 4.0, 6 - j) for j in range(1, d)]
+        b = np.linspace(0.15, 0.25, d)
+        kind = "density" if axis is None else "derivative"
+        if chunk is not None:
+            # chunks of at most 128 rows, four levels down the split
+            monkeypatch.setattr(estimator, "_CHUNK_ELEMS", chunk)
+        _force_blocks(monkeypatch, 1)
+        want = field_on_grid(data, axes, b, kind=kind, axis=axis).values
+        for cpus in (2, 3, 4):
+            _force_blocks(monkeypatch, cpus)
+            pools = _record_pools(monkeypatch)
+            got = field_on_grid(data, axes, b, kind=kind, axis=axis).values
+            assert got.tobytes() == want.tobytes()
+            assert pools == ([min(cpus, m0)] if m0 > 1 else [])
+
+    def test_blocks_under_frequent_switches(self, monkeypatch):
+        # 8 blocks on more threads than cores, switching every microsecond,
+        # each writing its 5 rows of the shared axis-0 matrices chunk after
+        # chunk; a block writing outside its rows would mix the nodes
+        data = _sample(2, n=4097, seed=3)
+        data[::5] = 0.0
+        axes = [np.linspace(0.0, 6.0, 40), np.linspace(0.0, 6.0, 9)]
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMS", 1)
+        _force_blocks(monkeypatch, 1)
+        want = field_on_grid(data, axes, 0.2, kind="derivative", axis=0)
+        _force_blocks(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [field_on_grid(data, axes, 0.2, kind="derivative", axis=0)
+                   for _ in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        for field in got:
+            assert field.values.tobytes() == want.values.tobytes()
+
+    def test_small_fields_stay_serial(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 4)
+        pools = _record_pools(monkeypatch)
+        # 1500 x 7 x 5 kernel values, below the 2^20 threshold
+        data = _sample(2, n=1500)
+        field_on_grid(data, [np.linspace(0.0, 4.0, 7),
+                             np.linspace(0.0, 4.0, 5)], 0.2)
+        assert pools == []
+        field_on_grid(data, [np.linspace(0.0, 4.0, 700),
+                             np.linspace(0.0, 4.0, 5)], 0.2)
+        assert pools == [4]
+
+    def test_fields_off_the_main_thread_stay_serial(self, monkeypatch):
+        _force_blocks(monkeypatch, 4)
+        pools = _record_pools(monkeypatch)
+        data = _sample(2, n=300)
+        axes = [np.linspace(0.0, 4.0, 7), np.linspace(0.0, 4.0, 5)]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            got = pool.submit(field_on_grid, data, axes, 0.2).result()
+        assert pools == []
+        want = field_on_grid(data, axes, 0.2)
+        assert pools == [4]
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_non_finite_field_raises_without_warning(self, monkeypatch):
+        # x/b = 1e306 and 2e306 are finite, but r ln b overflows and the
+        # log kernel is inf - inf at both nodes
+        _force_blocks(monkeypatch, 2)
+        pools = _record_pools(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="not finite at 2 of 2 nodes"):
+                field_on_grid([[1.0], [2.0], [0.5]],
+                              [np.array([1e6, 2e6])], 1e-300)
+        assert pools == [2]
+
+    def test_worker_error_propagates(self, monkeypatch):
+        _force_blocks(monkeypatch, 3)
+        with pytest.raises(ValueError, match="x/b overflows"):
+            field_on_grid([[1.0], [2.0]], [np.linspace(0.0, 1e308, 3)], 0.1)
 
 
 def _write(path, text):
@@ -417,10 +541,11 @@ class TestIO:
         "1.5,2.0\r\n3.0,4.25\r\n",
         "x,y\n1.5,2.0\n3.0,4.25\n",
         "a b\n\n1.5 2.0\n\n3.0 4.25\n\n",
-        "# comment\n1.5,2.0\n#\n3.0, 4.25\n# end\n",
+        "# comment\n\n# more\n1.5,2.0\n3.0, 4.25\n",
+        "1.0,2.0 # note\n3.0,4.0\n",
         "0.0\n1e-3\n2.5E+2\n",
     ], ids=["commas", "spaces", "tabs", "crlf", "header", "blank-lines",
-            "comment-lines", "one-column"])
+            "leading-comments", "inline-comment", "one-column"])
     def test_fast_loader_matches_line_parser(self, tmp_path, text):
         p = _write(tmp_path / "s.txt", text)
         fast, slow = _both_loaders(p)
@@ -430,11 +555,12 @@ class TestIO:
         np.testing.assert_array_equal(load_sample(p), slow)
 
     @pytest.mark.parametrize("text,want", [
-        ("1.0,2.0 # note\n3.0,4.0\n", [[3.0, 4.0]]),  # line 1: header
+        ("# comment\n1.5,2.0\n#\n3.0, 4.25\n# end\n",
+         [[1.5, 2.0], [3.0, 4.25]]),
         ("1.0,2.0\n3.0 4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
         ("1.0,2.0\n   \n3.0,4.0\n", [[1.0, 2.0], [3.0, 4.0]]),
         ("1_000\n2\n", [[1000.0], [2.0]]),
-    ], ids=["inline-comment", "mixed-delimiters", "blank-with-spaces",
+    ], ids=["comment-lines", "mixed-delimiters", "blank-with-spaces",
             "underscores"])
     def test_line_parser_decides_where_loadtxt_differs(self, tmp_path,
                                                         text, want):
