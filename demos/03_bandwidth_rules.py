@@ -35,7 +35,7 @@ print(f"  C = {rule.C:.6f} (closed form {(108 / 35) ** (2 / 7):.6f}),"
 rng = np.random.Generator(np.random.Philox(key=3))
 data = rng.gamma(3.0, size=n)
 for stages in (1, 2):
-    rule = plug_in_bandwidth(data, tau=0, which="density", stages=stages)
+    rule = plug_in_bandwidth(data, which="density", stages=stages)
     print(f"plug-in on Gamma(3,1) data, stage {rule.metadata['stage']}:"
           f" C = {rule.C:.4f}, b({n}) = {rule.bandwidth(n):.5f}")
 

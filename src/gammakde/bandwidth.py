@@ -3,8 +3,9 @@
 Closed-form reference rules for the density (e = 2/(5+tau)) and the
 derivative (e = 2/(tau+7)) estimators, a mixing-aware variant built on
 the covariance bound, and a data-driven plug-in with a moment-matched
-gamma reference and an optional pilot stage. The model rules read the
-lag width as tau = m.dim - 1 from the model m; the plug-in takes tau.
+gamma reference and an optional pilot stage. Every rule reads the lag
+width as tau = d - 1: the model rules from the model's dimension, the
+plug-in from its sample's.
 
 Each constant is C = [prefactor * int V dx / int B dx]^e: a variance
 functional V over a squared-bias functional B on the orthant. Both
@@ -357,20 +358,18 @@ def _pilot_functionals(data, b, which):
             for v in _rule_integrands(which, x, f, curv)]
 
 
-def plug_in_bandwidth(sample, tau, which="density", stages=1):
-    """Data-driven bandwidth rule.
+def plug_in_bandwidth(sample, which="density", stages=1):
+    """Data-driven bandwidth rule for an (n, d) sample, with tau = d - 1.
 
     Stage 0 moment-matches a product-gamma reference per coordinate
     (shape = mean^2/var, scale = var/mean) and applies the closed-form
     rule. With ``stages=2`` a pilot gamma-kernel estimate built from the
-    stage-0 bandwidth re-estimates the rule's integrals.
+    stage-0 bandwidth re-estimates the rule's integrals. Cut a series
+    into lag fragments with ``estimator.fragment`` before the call.
     """
     data = estimator.as_sample(sample)
-    if data.shape[1] == 1 and tau > 0:
-        data = estimator.fragment(data[:, 0], tau)
     n, d = data.shape
-    if d != tau + 1:
-        raise ValueError(f"sample dimension {d} inconsistent with tau={tau}")
+    tau = d - 1
     if n < 50:
         raise ValueError("plug-in rule needs at least 50 observations")
     if stages not in (1, 2):

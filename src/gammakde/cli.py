@@ -34,13 +34,28 @@ def _parse_marginal(spec):
     raise argparse.ArgumentTypeError(f"unknown marginal spec '{spec}'")
 
 
-def _parse_model(spec, d):
+def _parse_model(spec, tau):
     """Model specs: exp:RATE | gamma:SHAPE,SCALE | data:FILE."""
     kind, _, arg = spec.partition(":")
     if kind == "data":
-        return None, estimator.load_sample(arg)
+        return None, _lag_sample(arg, tau)
     m = _parse_marginal(spec)
-    return product_gamma([m.shape] * d, [m.scale] * d), None
+    return product_gamma([m.shape] * (tau + 1), [m.scale] * (tau + 1)), None
+
+
+def _lag_sample(path, tau):
+    """Read a sample; at tau > 0, cut a one-column series into lag fragments.
+
+    At tau > 0 a file of several columns must have tau + 1 of them.
+    """
+    data = estimator.load_sample(path)
+    if data.shape[1] == 1 and tau > 0:
+        return estimator.fragment(data[:, 0], tau)
+    if tau > 0 and data.shape[1] != tau + 1:
+        raise ValueError(
+            f"--tau {tau} needs a one-column series or "
+            f"{tau + 1} columns; the data has {data.shape[1]}")
+    return data
 
 
 def _parse_grid(spec):
@@ -69,11 +84,11 @@ def _default_grid(data, num=50):
     return axes
 
 
-def _resolve_bandwidth(args, data, tau, which):
+def _resolve_bandwidth(args, data, which):
     if args.b is not None:
         return args.b, "fixed"
     if args.rule == "plugin":
-        rule = bw.plug_in_bandwidth(data, tau, which=which, stages=args.stages)
+        rule = bw.plug_in_bandwidth(data, which=which, stages=args.stages)
         return rule.bandwidth(data.shape[0]), f"rule {rule.kind} (C={rule.C:.6g})"
     raise ValueError("need --b VALUE or --rule plugin")
 
@@ -83,16 +98,10 @@ def run_estimate(args):
         raise ValueError("--axis applies only to --which derivative")
     if args.stages != 1 and args.rule != "plugin":
         raise ValueError("--stages applies only to --rule plugin")
-    data = estimator.load_sample(args.input)
-    if data.shape[1] == 1 and args.tau > 0:
-        data = estimator.fragment(data[:, 0], args.tau)
-    elif args.tau > 0 and data.shape[1] != args.tau + 1:
-        raise ValueError(
-            f"--tau {args.tau} needs a one-column series or "
-            f"{args.tau + 1} columns; the data has {data.shape[1]}")
+    data = _lag_sample(args.input, args.tau)
     d = data.shape[1]
     which = args.which
-    b, provenance = _resolve_bandwidth(args, data, args.tau, which)
+    b, provenance = _resolve_bandwidth(args, data, which)
     axes = _parse_grid(args.grid) if args.grid else _default_grid(data)
     if len(axes) != d:
         raise ValueError(f"grid has {len(axes)} axes, data has dimension {d}")
@@ -105,13 +114,12 @@ def run_estimate(args):
 
 
 def run_bandwidth(args):
-    d = args.tau + 1
-    model, data = _parse_model(args.model, d)
+    model, data = _parse_model(args.model, args.tau)
     if data is not None:
         if args.upsilon is not None:
             raise ValueError("--upsilon applies only to exp: and gamma: "
                              "models")
-        rule = bw.plug_in_bandwidth(data, args.tau, which=args.which,
+        rule = bw.plug_in_bandwidth(data, which=args.which,
                                     stages=args.stages)
     elif args.stages != 1:
         raise ValueError("--stages applies only to data: models")

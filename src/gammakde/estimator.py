@@ -8,24 +8,25 @@ The estimators average d-fold products of gamma kernels over the sample:
 with c_i = L(X_ia, x_a, b_a)/b_a on the interior branch and
 x_a/(2 b_a^2) * L on the boundary branch. Both are one contraction over
 the sample of per-axis (node x sample) kernel matrices; the derivative
-multiplies the matrix of axis a by c_i first. Pointwise estimates are
-one-node grids. An observation X_ia = 0 contributes c_i K = 0, the exact
-limit: K L ~ t^(rho-1) ln t -> 0 for x_a > 0, and c_i = 0 at x_a = 0.
+multiplies the matrix of axis a by c_i first. A pointwise estimate is
+``field_on_grid`` on a one-node grid. An observation X_ia = 0
+contributes c_i K = 0, the exact limit: K L ~ t^(rho-1) ln t -> 0 for
+x_a > 0, and c_i = 0 at x_a = 0.
 
 The sum over the sample is taken in chunks of at most
 cols = max(128, 2^20 // sum_j m_j) rows, for m_j nodes on axis j, so the
 kernel matrices of one chunk hold about 2^20 floats (8 MB). They live in
-one workspace, allocated once per call and reused by every chunk, plus
-one more matrix for the derivative weights. The rows are split as
-numpy's pairwise sum splits a row (half = n // 2, rounded down to a
-multiple of 8, recursively), the two halves' sums are added, and the
-total is divided by n once. Memory is O(cols * sum_j m_j) for the
-workspace plus one partial field of prod_j m_j values per level of the
-split, log2(n / cols) levels. For d = 1 each chunk is a subtree of the
-pairwise sum over all n terms, so the estimate is bitwise the one-pass
-``mean``. For d >= 2 it is bitwise the one-pass ``einsum`` while
-n <= cols; beyond, it stays deterministic and differs from the one-pass
-sum only in the last bits.
+a workspace allocated once per call (one per node block, below) and
+reused by every chunk, plus one more matrix for the derivative weights.
+The rows are split as numpy's pairwise sum splits a row (half = n // 2,
+rounded down to a multiple of 8, recursively), the two halves' sums are
+added, and the total is divided by n once. Memory is
+O(cols * sum_j m_j) for the workspace plus one partial field of
+prod_j m_j values per level of the split, log2(n / cols) levels. For
+d = 1 each chunk is a subtree of the pairwise sum over all n terms, so
+the estimate is bitwise the one-pass ``mean``. For d >= 2 it is bitwise
+the one-pass ``einsum`` while n <= cols; beyond, it stays deterministic
+and differs from the one-pass sum only in the last bits.
 
 Every grid node is independent work. A field of at least 2^20 kernel
 values (n * prod_j m_j) computed on the main thread is cut into
@@ -33,10 +34,11 @@ p = min(usable CPUs, m_0) contiguous blocks of the axis-0 nodes, and
 each block runs the sum above over the whole sample on its own thread.
 The block results are concatenated and divided by n once. ``cols`` comes
 from the full grid, so each node's summation tree is unchanged: the
-bytes are those of p = 1 for any CPU count. The blocks write disjoint
-rows of the same axis-0 workspace; each has its own matrices for the
-axes >= 1, so memory grows by p - 1 copies of those. A field computed
-on any other thread, as in the Monte Carlo pool, stays on that thread.
+bytes are those of p = 1 for any CPU count. Each block has its own
+workspace; the axis-0 matrices are split between the blocks, and those
+of the axes >= 1 are repeated, so memory grows by p - 1 copies of
+those. A field computed on any other thread, as in the Monte Carlo
+pool, stays on that thread.
 """
 
 import itertools
@@ -125,15 +127,6 @@ def _as_bandwidth(b, d):
     return b
 
 
-def _as_point(x, d):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (d,):
-        raise ValueError(f"evaluation point must have dimension {d}")
-    if np.any(x < 0.0) or np.any(~np.isfinite(x)):
-        raise ValueError("evaluation point entries must be finite and >= 0")
-    return x
-
-
 def fragment(series, tau):
     """Slide a window of width tau+1 over a univariate series.
 
@@ -152,13 +145,6 @@ def fragment(series, tau):
     return as_sample(np.array(windows))
 
 
-def _check_axis(axis, d):
-    axis = int(axis)
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for d={d}")
-    return axis
-
-
 def _usable_cpus():
     """The CPUs this process may run on."""
     try:
@@ -171,31 +157,23 @@ def _field(data, axes, b, axis=None):
     """Estimate on the tensor grid ``axes``; the derivative along ``axis``."""
     n = data.shape[0]
     cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(a.size for a in axes))
-    m0 = axes[0].size
     p = 1
     if (n * math.prod(a.size for a in axes) >= _SPLIT_ELEMS
             and threading.current_thread() is threading.main_thread()):
-        p = min(_usable_cpus(), m0)
-    # every chunk writes its kernel matrices into these, one per axis and
-    # a last one for the derivative weights; they belong to this call
-    # alone, so concurrent calls share no memory. Block i of the axis-0
-    # nodes writes rows edges[i]:edges[i+1] of the axis-0 matrices and
-    # its own matrices of the other axes. All are allocated here, in the
-    # calling thread: allocated in the workers they raised lag-series'
-    # peak RSS by 15 MB
+        p = min(_usable_cpus(), axes[0].size)
+    # every chunk of a block writes its kernel matrices into the block's
+    # workspace, one matrix per axis and a last one for the derivative
+    # weights; no two blocks or calls share memory. All are allocated
+    # here, in the calling thread: allocated in the workers they raised
+    # lag-series' peak RSS by 15 MB
     k = min(cols, n)
-    edges = [m0 * i // p for i in range(p + 1)]
-    first = np.empty(m0 * k)
-    weights = np.empty(m0 * k) if axis == 0 else None
     blocks = []
-    for lo, hi in zip(edges, edges[1:]):
-        work = [first[lo * k: hi * k]]
-        work += [np.empty(a.size * k) for a in axes[1:]]
-        if axis == 0:
-            work.append(weights[lo * k: hi * k])
-        elif axis is not None:
-            work.append(np.empty(axes[axis].size * k))
-        blocks.append(([axes[0][lo:hi]] + list(axes[1:]), work))
+    for nodes in np.array_split(axes[0], p):
+        block_axes = [nodes] + axes[1:]
+        work = [np.empty(a.size * k) for a in block_axes]
+        if axis is not None:
+            work.append(np.empty(block_axes[axis].size * k))
+        blocks.append((block_axes, work))
 
     def block_sum(block):
         block_axes, work = block
@@ -259,19 +237,13 @@ def _sum_terms(data, axes, b, axis, cols, work):
 
 def density_at(sample, x, b):
     """Gamma product-kernel density estimate at a single point."""
-    data = as_sample(sample)
-    d = data.shape[1]
-    x = _as_point(x, d)
-    return _field(data, x[:, None], _as_bandwidth(b, d)).item()
+    return field_on_grid(sample, np.reshape(x, (-1, 1)), b).values.item()
 
 
 def density_partial_at(sample, x, b, axis):
     """Estimate of the partial derivative of the density along one axis."""
-    data = as_sample(sample)
-    d = data.shape[1]
-    x = _as_point(x, d)
-    b = _as_bandwidth(b, d)
-    return _field(data, x[:, None], b, _check_axis(axis, d)).item()
+    return field_on_grid(sample, np.reshape(x, (-1, 1)), b, "derivative",
+                         axis).values.item()
 
 
 def log_density_derivative_at(sample, x, b_f, b_df, axis):
@@ -295,8 +267,9 @@ def log_density_derivative_at(sample, x, b_f, b_df, axis):
 def field_on_grid(sample, axes, b, kind="density", axis=None):
     """Evaluate the density or derivative estimate on a tensor grid.
 
-    One pass over the per-axis kernel matrices; a pointwise call is the
-    same computation on a one-node grid.
+    One pass over the per-axis kernel matrices; ``density_at`` and
+    ``density_partial_at`` call it on a one-node grid. The derivative is
+    taken along ``axis``, the last one by default.
     """
     data = as_sample(sample)
     d = data.shape[1]
@@ -304,17 +277,19 @@ def field_on_grid(sample, axes, b, kind="density", axis=None):
         raise ValueError(f"need {d} coordinate axes, got {len(axes)}")
     axes = [np.asarray(a, dtype=float).ravel() for a in axes]
     for j, a in enumerate(axes):
-        if a.size == 0 or np.any(a < 0.0) or np.any(np.diff(a) <= 0.0):
-            raise ValueError(
-                f"axis {j} must be nonempty, nonnegative, strictly increasing"
-            )
+        if (a.size == 0 or not np.all(np.isfinite(a)) or np.any(a < 0.0)
+                or np.any(np.diff(a) <= 0.0)):
+            raise ValueError(f"axis {j} must be nonempty, finite, "
+                             "nonnegative, strictly increasing")
     b = _as_bandwidth(b, d)
     if kind not in ("density", "derivative"):
         raise ValueError("kind must be 'density' or 'derivative'")
     if kind == "density":
         axis = None
     else:
-        axis = _check_axis(d - 1 if axis is None else axis, d)
+        axis = int(d - 1 if axis is None else axis)
+        if not 0 <= axis < d:
+            raise ValueError(f"axis {axis} out of range for d={d}")
     return FieldOnGrid(axes=axes, values=_field(data, axes, b, axis),
                        kind=kind)
 

@@ -217,11 +217,12 @@ def mc_point_stats(config, x):
 
     The point is evaluated as a one-node grid.
     """
-    x = estimator._as_point(x, config.tau + 1)
+    d = config.tau + 1
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     b_max = max(config.bandwidth_at(n) for n in config.n_grid)
-    if np.any(x < 2.0 * b_max):
-        raise ValueError(
-            f"x must be interior (all coords >= 2b = {2 * b_max})")
+    if x.shape != (d,) or not np.all(np.isfinite(x) & (x >= 2.0 * b_max)):
+        raise ValueError(f"x must be a finite interior point of dimension "
+                         f"{d} (all coords >= 2b = {2 * b_max})")
     axes = [np.array([xj]) for xj in x]
     true_val = _true_values(config, axes).item()
 

@@ -16,6 +16,7 @@ from gammakde.bandwidth import (
     mixing_bandwidth,
     plug_in_bandwidth,
 )
+from gammakde.estimator import fragment
 from gammakde.models import (
     DensityModel,
     from_pdf,
@@ -318,7 +319,7 @@ class TestPlugIn:
         # moment matching on a large Gamma(3,1) sample should land close
         # to the model rule
         data = self._gamma3_sample(100_000)
-        rule = plug_in_bandwidth(data, 0, which="density")
+        rule = plug_in_bandwidth(data, which="density")
         want = density_bandwidth(product_gamma([3.0]), len(data)).C
         assert abs(rule.C - want) / want < 0.05
         assert rule.metadata["stage"] == 0
@@ -326,28 +327,28 @@ class TestPlugIn:
 
     def test_derivative_rule_recovered(self):
         data = self._gamma3_sample(100_000)
-        rule = plug_in_bandwidth(data, 0, which="derivative")
+        rule = plug_in_bandwidth(data, which="derivative")
         want = derivative_bandwidth(product_gamma([3.0]), len(data)).C
         assert abs(rule.C - want) / want < 0.05
 
     def test_exponential_data_floors_shape(self):
         rng = np.random.Generator(np.random.Philox(key=8))
         data = rng.exponential(size=5000)
-        rule = plug_in_bandwidth(data, 0, which="density")
+        rule = plug_in_bandwidth(data, which="density")
         assert rule.metadata["shape_floored"]
         assert 0.05 < rule.C < 5.0
 
     def test_two_stage_refines(self):
         data = self._gamma3_sample(20_000)
-        r2 = plug_in_bandwidth(data, 0, which="density", stages=2)
+        r2 = plug_in_bandwidth(data, which="density", stages=2)
         assert r2.metadata["stage"] == 1
         assert "pilot_bandwidth" in r2.metadata
         want = density_bandwidth(product_gamma([3.0]), len(data)).C
         assert abs(r2.C - want) / want < 0.3
 
     def test_fragments_series_for_positive_tau(self):
-        data = self._gamma3_sample(5000)
-        rule = plug_in_bandwidth(data, 1, which="density")
+        data = fragment(self._gamma3_sample(5000), 1)
+        rule = plug_in_bandwidth(data, which="density")
         assert rule.metadata["tau"] == 1
         assert rule.e == pytest.approx(2.0 / 6.0)
 
@@ -355,15 +356,15 @@ class TestPlugIn:
         data = np.column_stack([self._gamma3_sample(100),
                                 np.full(100, 2.0)])
         with pytest.raises(ValueError, match="column 1"):
-            plug_in_bandwidth(data, 1, which="density")
+            plug_in_bandwidth(data, which="density")
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="50"):
-            plug_in_bandwidth(self._gamma3_sample(20), 0)
+            plug_in_bandwidth(self._gamma3_sample(20))
 
     def test_staging_contract(self):
         with pytest.raises(ValueError, match="stages"):
-            plug_in_bandwidth(self._gamma3_sample(1000), 0, stages=3)
+            plug_in_bandwidth(self._gamma3_sample(1000), stages=3)
 
 
 class TestBandwidthRule:

@@ -24,6 +24,14 @@ MINI = DATA / "exp100.csv"
 GOLDEN = DATA / "exp100_density_golden.csv"
 
 
+def _lag_pairs(tmp_path):
+    """The lag-1 fragments of ``MINI`` as a two-column file."""
+    path = tmp_path / "pairs.csv"
+    np.savetxt(path, estimator.fragment(np.loadtxt(MINI), 1), fmt="%.17g",
+               delimiter=",")
+    return path
+
+
 class TestEstimate:
     def test_golden_file_byte_identical(self, tmp_path, capsys):
         out = tmp_path / "field.csv"
@@ -113,6 +121,21 @@ class TestEstimate:
         ])
         assert rc == 0
         assert "rule DensityPlugIn" in capsys.readouterr().out
+
+    def test_plugin_rule_on_lag_columns(self, tmp_path, capsys):
+        # a two-column file at the default --tau 0 gets the rule and the
+        # field that --tau 1 gets from the series its rows were cut from
+        runs = []
+        for source in (["--input", str(_lag_pairs(tmp_path))],
+                       ["--input", str(MINI), "--tau", "1"]):
+            out = tmp_path / f"field{len(runs)}.csv"
+            assert main(["estimate", *source, "--output", str(out),
+                         "--rule", "plugin",
+                         "--grid", "0.2:2.0:3;0.2:2.0:3"]) == 0
+            printed = capsys.readouterr().out.splitlines()[0]
+            runs.append((printed, out.read_bytes()))
+        assert "rule DensityPlugIn" in runs[0][0]
+        assert runs[0] == runs[1]
 
     def test_missing_bandwidth_exits(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -303,6 +326,17 @@ class TestBandwidth:
                    "--n", "100", "--model", f"data:{MINI}"])
         assert rc == 0
         assert "kind=DensityPlugIn" in capsys.readouterr().out
+
+    def test_data_rule_on_lag_columns(self, tmp_path, capsys):
+        # as in estimate: the pairs at --tau 0, their series at --tau 1
+        outs = []
+        for tau, path in (("0", _lag_pairs(tmp_path)), ("1", MINI)):
+            assert main(["bandwidth", "--which", "density", "--tau", tau,
+                         "--n", "100", "--model", f"data:{path}"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert "kind=DensityPlugIn" in outs[0]
+        assert "e=3.3333333333333331e-01" in outs[0]
+        assert outs[0] == outs[1]
 
     def test_mixing_rule(self, capsys):
         rc = main(["bandwidth", "--which", "density", "--tau", "0",

@@ -103,13 +103,23 @@ class TestDensityAt:
             density_at([[1.0], [-0.5]], [1.0], 0.1)
 
     def test_rejects_wrong_point_dimension(self):
-        with pytest.raises(ValueError):
-            density_at(_sample(2), [1.0], 0.1)
+        for x in ([1.0], [1.0, 1.0, 1.0], 1.0):
+            with pytest.raises(ValueError, match="coordinate axes"):
+                density_at(_sample(2), x, 0.1)
+        # and a point with a negative or non-finite coordinate
+        for coord in (-0.5, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="axis 1 must be"):
+                density_at(_sample(2), [1.0, coord], 0.1)
+            with pytest.raises(ValueError, match="axis 1 must be"):
+                density_partial_at(_sample(2), [1.0, coord], 0.1, axis=0)
 
     def test_rejects_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            density_at(_sample(1), [1.0], 0.0)
-        with pytest.raises(ValueError):
+        for b in (0.0, -0.1, np.nan, [0.1, np.nan], np.inf):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                density_at(_sample(2), [1.0, 1.0], b)
+            with pytest.raises(ValueError, match="finite and > 0"):
+                density_partial_at(_sample(2), [1.0, 1.0], b, axis=1)
+        with pytest.raises(ValueError, match="length-1"):
             density_at(_sample(1), [1.0], [0.1, 0.2])
 
 
@@ -161,8 +171,9 @@ class TestDensityPartialAt:
         assert np.isfinite(density_partial_at(data, [1.0, 1.0], b, axis=0))
 
     def test_rejects_bad_axis(self):
-        with pytest.raises(ValueError):
-            density_partial_at(_sample(2), [1.0, 1.0], 0.1, axis=2)
+        for axis in (2, -1, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                density_partial_at(_sample(2), [1.0, 1.0], 0.1, axis=axis)
 
 
 class TestLogDensityDerivative:
@@ -258,8 +269,9 @@ class TestFieldOnGrid:
         np.testing.assert_allclose(a, b, rtol=1e-13)
 
     def test_rejects_decreasing_axis(self):
-        with pytest.raises(ValueError, match="axis 0"):
-            field_on_grid(_sample(1), [np.array([1.0, 0.5])], 0.1)
+        for nodes in ([1.0, 0.5], [0.5, np.nan], [0.5, np.inf], []):
+            with pytest.raises(ValueError, match="axis 0"):
+                field_on_grid(_sample(1), [np.array(nodes)], 0.1)
 
     def test_rejects_axis_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -338,6 +350,27 @@ class TestChunkedEngine:
         # the smallest chunks the engine takes: 128 rows
         monkeypatch.setattr(estimator, "_CHUNK_ELEMS", 1)
         got = field_on_grid(data, axes, 0.2, kind=kind).values
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 255, 256, 257, 1025])
+    @pytest.mark.parametrize("kind", ["density", "derivative"])
+    def test_d1_identical_to_one_pass_mean_at_shipped_chunks(self, kind, n):
+        # 8192 nodes set cols = 2^20 // 8192 = 128 with the shipped
+        # constants, so these n sit on both sides of the sizes at which
+        # the rows split into 2 and then 3 chunks, and one n far beyond
+        axes = [np.linspace(0.0, 6.0, 8192)]
+        assert max(estimator._PAIRWISE_BLOCK,
+                   estimator._CHUNK_ELEMS // axes[0].size) == 128
+        data = _sample(1, n=n, seed=n)
+        data[::5] = 0.0
+        axis = 0 if kind == "derivative" else None
+        b = np.array([0.2])
+        # the one-pass reference a slice of nodes at a time, to bound its
+        # memory; each row's mean does not depend on the other rows
+        want = np.concatenate([
+            _one_pass_mats(data, [nodes], b, axis)[0].mean(axis=1)
+            for nodes in np.split(axes[0], 16)])
+        got = field_on_grid(data, axes, b, kind=kind).values
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("kind,d,axis", [
@@ -422,8 +455,8 @@ class TestNodeBlocks:
 
     def test_blocks_under_frequent_switches(self, monkeypatch):
         # 8 blocks on more threads than cores, switching every microsecond,
-        # each writing its 5 rows of the shared axis-0 matrices chunk after
-        # chunk; a block writing outside its rows would mix the nodes
+        # each writing its own workspace chunk after chunk; a workspace
+        # shared between blocks would mix the nodes
         data = _sample(2, n=4097, seed=3)
         data[::5] = 0.0
         axes = [np.linspace(0.0, 6.0, 40), np.linspace(0.0, 6.0, 9)]

@@ -137,13 +137,20 @@ class TestMcPointStats:
         assert abs(s_large.bias) == pytest.approx(abs(s_small.bias),
                                                   abs=3 * s_small.se_mean)
 
-    def test_rejects_boundary_point(self):
+    def test_rejects_boundary_point(self, monkeypatch):
         cfg = ExperimentConfig(
             process=EXP_SPEC, n_grid=[100], replicates=5, tau=0,
             seed=1, bandwidth=0.3,
         )
-        with pytest.raises(ValueError, match="interior"):
-            mc_point_stats(cfg, [0.1])
+
+        def no_replicate(*_args):
+            raise AssertionError("a replicate ran")
+
+        # the point is refused before any replicate runs
+        monkeypatch.setattr(simulate, "gen_series", no_replicate)
+        for x in ([0.1], [-1.0], [np.nan], [np.inf], [1.0, 1.0], []):
+            with pytest.raises(ValueError, match="interior"):
+                mc_point_stats(cfg, x)
 
 
 class TestMcMise:
