@@ -35,7 +35,7 @@ import numpy as np
 from . import estimator
 from .models import product_gamma
 from .quadrature import trapezoid_nd
-from .theory import _TWO_SQRT_PI, _curvature_sum
+from .theory import _TWO_SQRT_PI, _curvature_sum, _mixing_weight
 
 __all__ = [
     "BandwidthRule",
@@ -203,8 +203,21 @@ def _rule_integrands(which, x, f, curv):
     return f / xn / root, (f / (3.0 * xn**2) + curv / xn) ** 2
 
 
+def _check_integrals(*named):
+    """Refuse a rule unless each (name, integral) pair is finite and > 0:
+    at an extreme scale, or for a pilot on a nearly constant sample, an
+    integral can underflow to 0 or overflow.
+    """
+    for name, value in named:
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} is {value:.6g}; the rule needs a "
+                             "finite positive integral")
+
+
 def _rule_constant(which, tau, num, den):
     """(C, e) of the density or derivative rule from its two integrals."""
+    _check_integrals((f"{which}-rule numerator", num),
+                     (f"{which}-rule denominator", den))
     if which == "density":
         e = 2.0 / (5.0 + tau)
         pref = tau + 1.0
@@ -278,18 +291,18 @@ def mixing_bandwidth(m, n, mp):
             "the covariance bound changes sign at 1/3 and its fractional "
             "power is complex below it"
         )
-    d_coef = 2.0 * (2.0 * np.pi) ** (-(tau * (u + 1.0) + u - 1.0) / 2.0)
 
     def integrands(x):
-        w = reduce(np.multiply, [xj ** (-(u + 1.0) / 2.0) for xj in x])
         f, _ = _density_terms(m, x, curvature=False)
-        return [d_coef * w * f ** (1.0 - u)]
+        return [_mixing_weight(x, u) * f ** (1.0 - u)]
 
     # per-axis substitution x = v^p with p = 2/(1-u) flattens the
     # x^(-(u+1)/2) weight exactly
     [num] = _power_sub_integrals(m, integrands, 2.0 / (1.0 - u),
                                  ["mixing-rule numerator"])
     den = _reference_integrals(m, "density")[1]
+    _check_integrals(("mixing-rule numerator", num),
+                     ("density-rule denominator", den))
 
     e = 2.0 / (tau * (u + 1.0) + u + 5.0)
     bracket = (

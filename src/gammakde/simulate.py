@@ -157,9 +157,9 @@ def truth_model(spec, tau):
         return dens
 
     probe = np.array([[marg.quantile(q)] * d for q in (0.3, 0.5, 0.7)])
-    model = from_pdf(pdf, d, scale=marg.quantile(0.5), probe=probe)
-    model.quantile = lambda q: np.full(d, marg.quantile(q))
-    return model
+    return from_pdf(pdf, d, scale=marg.quantile(0.5),
+                    quantile=lambda q: np.full(d, marg.quantile(q)),
+                    probe=probe)
 
 
 def _replicate_seed(seed, global_rep):
@@ -247,7 +247,8 @@ def mc_mise(config):
 
     ISE is the tensor-trapezoid integral of (estimate - truth)^2 over the
     interior box [2b, q_0.999]^d. Replicates with non-finite quadrature
-    are excluded and counted.
+    are excluded and counted; an n with fewer than 2 replicates left has
+    no standard error and is refused.
     """
     axes = _ise_axes(config)
     true_vals = _true_values(config, axes)
@@ -261,6 +262,9 @@ def mc_mise(config):
         result.records += rows
         if len(rows) < len(ises):
             result.excluded[n] = len(ises) - len(rows)
+        if len(rows) < 2:
+            raise ValueError(f"n={n}: {len(rows)} of {len(ises)} replicates "
+                             "have a finite ISE; the MISE needs at least 2")
         kept = np.array([ise for _n, _r, ise in rows])
         result.summary.append((
             n,
@@ -275,19 +279,21 @@ def rate_fit(result):
     summary = [(n, m) for n, m, _se in result.summary]
     if len({n for n, _ in summary}) < 3:
         raise ValueError("rate fit needs at least 3 distinct sample sizes")
+    for n, m in summary:
+        if not (np.isfinite(m) and m > 0.0):
+            raise ValueError(f"rate fit needs a finite positive MISE, "
+                             f"got {m:.6g} at n={n}")
     logn = np.log([n for n, _ in summary])
     logm = np.log([m for _, m in summary])
     A = np.vstack([logn, np.ones_like(logn)]).T
-    coef, res, *_ = np.linalg.lstsq(A, logm, rcond=None)
+    coef, *_ = np.linalg.lstsq(A, logm, rcond=None)
     slope = float(coef[0])
+    # k >= 3 distinct sizes, so the residual variance has k - 2 > 0 dof
     k = len(logn)
-    if k > 2:
-        resid = logm - A @ coef
-        s2 = float(resid @ resid) / (k - 2)
-        sxx = float(np.sum((logn - logn.mean()) ** 2))
-        stderr = float(np.sqrt(s2 / sxx))
-    else:
-        stderr = float("inf")
+    resid = logm - A @ coef
+    s2 = float(resid @ resid) / (k - 2)
+    sxx = float(np.sum((logn - logn.mean()) ** 2))
+    stderr = float(np.sqrt(s2 / sxx))
     result.slope = slope
     result.slope_se = stderr
     return slope, stderr

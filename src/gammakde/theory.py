@@ -6,9 +6,14 @@ against an analytic :class:`~gammakde.models.DensityModel` m of
 (tau+1)-point lag fragments; every function reads tau = m.dim - 1 from m.
 These expansions are proven for interior points only (every coordinate
 at least 2b); boundary points are rejected rather than extrapolated.
+
+Each leading-term functional is written once: f and its partials, the
+variance prefactor, D(u, x) (shared with the mixing-aware bandwidth rule)
+and the density covariance core D(u, x) |b S(u, x) + ...|^(1-u).
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -86,6 +91,8 @@ def _check_interior(x, b, dim):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (dim,):
         raise ValueError(f"point must have dimension {dim}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"point must be finite, got {x.tolist()}")
     b = _check_bandwidth(b)
     if np.any(x < 2.0 * b):
         raise OutOfValidityError(
@@ -94,15 +101,18 @@ def _check_interior(x, b, dim):
     return x, b
 
 
+def _partials(m, x):
+    """(f, grad f, diag Hessian of f) of model m at the point x."""
+    return float(m.pdf(x)), np.asarray(m.grad(x)), np.asarray(m.hess_diag(x))
+
+
 def _curvature_sum(m, x):
     """sum_j x_j * d^2 f / dx_j^2, vectorized over (..., d) points."""
-    x = np.asarray(x, dtype=float)
     return np.sum(x * np.asarray(m.hess_diag(x)), axis=-1)
 
 
 def _variance_prefactor(x, b, n, tau):
     """b^(-(tau+1)/2) / n * prod_j x_j^(-1/2) / (2 sqrt(pi))."""
-    x = np.asarray(x, dtype=float)
     prod = np.prod(x ** -0.5 / _TWO_SQRT_PI, axis=-1)
     return b ** (-(tau + 1) / 2.0) / n * prod
 
@@ -116,8 +126,7 @@ def bias_density(m, x, b):
 
 
 def _v1(m, x):
-    g = np.asarray(m.grad(x))
-    h = np.asarray(m.hess_diag(x))
+    _f, g, h = _partials(m, x)
     return float(np.sum(-0.5 * g + 0.25 * x * h))
 
 
@@ -148,76 +157,58 @@ def var_density(m, x, b, n):
                            components=components)
 
 
-def _mixing_s(m, x, upsilon):
-    """S(upsilon, x) from the density covariance bound."""
-    u = upsilon
-    f = float(m.pdf(x))
-    g = np.asarray(m.grad(x))
-    h = np.asarray(m.hess_diag(x))
-    terms = (
-        (u + 1.0) / ((u - 1.0) ** 2 * x) * f
-        + (u + 1.0) / (u - 1.0) * g
-        + 0.5 * x * h
-    )
-    return float(np.sum(terms))
+def _mixing_weight(x, u):
+    """D(u, x) = 2 (2 pi)^(-(tau(u+1)+u-1)/2) prod_j x_j^(-(u+1)/2).
+
+    x is a point or an open grid, one coordinate array per axis, and
+    tau = len(x) - 1.
+    """
+    expo = -((len(x) - 1) * (u + 1.0) + u - 1.0) / 2.0
+    return 2.0 * (2.0 * np.pi) ** expo * reduce(
+        np.multiply, [xj ** (-(u + 1.0) / 2.0) for xj in x])
 
 
-def _mixing_d(x, tau, upsilon):
-    """D(upsilon, x) = 2 (2 pi)^(-(tau(u+1)+u-1)/2) prod_j x_j^(-(u+1)/2)."""
-    u = upsilon
-    expo = -(tau * (u + 1.0) + u - 1.0) / 2.0
-    return 2.0 * (2.0 * np.pi) ** expo * float(np.prod(x ** (-(u + 1.0) / 2.0)))
+def _mixing_core(m, x, b, u):
+    """D(u, x) |b S(u, x) + f (3u-1)/(2(u-1))|^(1-u) at an interior point.
+
+    S(u, x) = sum_j [(u+1)/((u-1)^2 x_j) f + (u+1)/(u-1) f_j + x_j f_jj/2].
+    The base is taken in absolute value: the bound controls a magnitude
+    and the leading f-term changes sign at u = 1/3.
+    """
+    f, g, h = _partials(m, x)
+    s = np.sum((u + 1.0) / ((u - 1.0) ** 2 * x) * f
+               + (u + 1.0) / (u - 1.0) * g + 0.5 * x * h)
+    base = b * float(s) + f * (3.0 * u - 1.0) / (2.0 * (u - 1.0))
+    return float(_mixing_weight(x, u)) * abs(base) ** (1.0 - u)
 
 
 def cov_bound_density(m, x, b, n, mp):
-    """Strong-mixing covariance bound for the density estimate.
-
-    The base of the fractional power is taken in absolute value: the
-    bound controls a magnitude and the leading f-term changes sign at
-    upsilon = 1/3.
+    """Strong-mixing covariance bound for the density estimate:
+    b^(-(tau+1)(u+1)/2)/n * alpha_integral * D(u, x) |b S(u, x) + ...|^(1-u).
     """
     tau = m.dim - 1
     x, b = _check_interior(x, b, m.dim)
     u = mp.upsilon
-    f = float(m.pdf(x))
-    base = b * _mixing_s(m, x, u) + f * (3.0 * u - 1.0) / (2.0 * (u - 1.0))
-    value = (
-        b ** (-(tau + 1) * (u + 1.0) / 2.0) / n
-        * mp.alpha_integral
-        * _mixing_d(x, tau, u)
-        * abs(base) ** (1.0 - u)
-    )
-    return float(value)
+    return (_mixing_core(m, x, b, u) * b ** (-(tau + 1) * (u + 1.0) / 2.0)
+            / n * mp.alpha_integral)
 
 
 def cov_split_density(m, x, b, n, mp):
     """Two-part covariance bound (near/far lags) for the density estimate.
 
     Uses the lag cutoff c(n) = b^(-(tau+1)/8) with kappa from the mixing
-    profile (default 1/4). Returns (I1, I2). The combined order
-    n^-1 b^(-(tau+1)/8) is strictly weaker than the variance order
-    n^-1 b^(-(tau+1)/2), so the covariance is asymptotically negligible.
+    profile (default 1/4). Returns (I1, I2); I2 is the covariance core
+    at u = 2 kappa. The combined order n^-1 b^(-(tau+1)/8) is strictly
+    weaker than the variance order n^-1 b^(-(tau+1)/2), so the covariance
+    is asymptotically negligible.
     """
     tau = m.dim - 1
     x, b = _check_interior(x, b, m.dim)
     if mp.M is None:
         raise ValueError("mixing profile must set the joint-density bound M")
-    kappa = mp.kappa
     i1 = 2.0 * mp.M / (n * b ** ((tau + 1) / 8.0))
-
-    # the split bound reuses S and D at upsilon = 2 kappa
-    u = 2.0 * kappa
-    f = float(m.pdf(x))
-    base = (
-        f * (6.0 * kappa - 1.0) / (2.0 * (2.0 * kappa - 1.0))
-        + b * _mixing_s(m, x, u)
-    )
-    i2 = (
-        _mixing_d(x, tau, u)
-        / (n * b ** ((tau + 1) / 16.0))
-        * abs(base) ** (1.0 - 2.0 * kappa)
-        * mp.alpha_sum
-    )
+    i2 = (_mixing_core(m, x, b, 2.0 * mp.kappa)
+          / (n * b ** ((tau + 1) / 16.0)) * mp.alpha_sum)
     return float(i1), float(i2)
 
 
@@ -233,7 +224,6 @@ def _b1(m, x):
     1/b prefactor is applied; the exact-expectation quadrature oracle
     confirms the derivative form.)
     """
-    x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     h = np.asarray(m.hess_diag(x))
     third_sum = sum(
@@ -243,9 +233,7 @@ def _b1(m, x):
 
 
 def _b2(m, x):
-    x = np.asarray(x, dtype=float)
-    xn = x[..., -1]
-    return _curvature_sum(m, x) / (24.0 * xn**2)
+    return _curvature_sum(m, x) / (24.0 * x[..., -1] ** 2)
 
 
 def bias_derivative(m, x, b):
@@ -269,9 +257,7 @@ def var_derivative(m, x, b, n):
     """
     x, b = _check_interior(x, b, m.dim)
     xn = x[-1]
-    f = float(m.pdf(x))
-    g = np.asarray(m.grad(x))
-    h = np.asarray(m.hess_diag(x))
+    f, g, h = _partials(m, x)
     fn = float(g[-1])
 
     v1 = (
@@ -311,9 +297,7 @@ def cov_bound_derivative(m, x, b, n, mp):
     x, b = _check_interior(x, b, m.dim)
     u = mp.upsilon
     xn = x[-1]
-    f = float(m.pdf(x))
-    g = np.asarray(m.grad(x))
-    h = np.asarray(m.hess_diag(x))
+    f, g, h = _partials(m, x)
     fn = float(g[-1])
 
     v_sum = 0.0
@@ -345,18 +329,12 @@ def cov_bound_derivative(m, x, b, n, mp):
                     - 4.0 / ((u - 1.0) ** 2 * xn) * f)
         )
 
-    r = (
-        float(np.prod(x ** (-(u + 1.0) / 2.0)))
-        * (2.0 * np.pi) ** (-(tau + 1) * (u - 1.0) / 2.0 - tau)
-        / (2.0 * xn**2)
-    )
+    # (2 pi)^(-(tau+1)(u-1)/2 - tau) prod_j x_j^(-(u+1)/2) / (2 x_n^2),
+    # which is D(u, x) / (4 x_n^2)
+    r = float(_mixing_weight(x, u)) / (4.0 * xn**2)
     base = b * b * v_sum + b * w_sum + l_sum
-    value = (
-        r / (n * b ** ((tau + 1) * (u + 1.0) / 2.0))
-        * abs(base) ** (1.0 - u)
-        * mp.alpha_integral
-    )
-    return float(value)
+    return float(r / (n * b ** ((tau + 1) * (u + 1.0) / 2.0))
+                 * abs(base) ** (1.0 - u) * mp.alpha_integral)
 
 
 def mise_leading(m, b, n, which, domain, nodes=200):
@@ -365,7 +343,8 @@ def mise_leading(m, b, n, which, domain, nodes=200):
     which : "density" or "derivative"
     domain : m.dim per-axis (lo, hi) pairs inside the interior region
     """
-    tau = m.dim - 1
+    if which not in ("density", "derivative"):
+        raise ValueError("which must be 'density' or 'derivative'")
     b = _check_bandwidth(b)
     if len(domain) != m.dim:
         raise ValueError(f"domain needs {m.dim} intervals, got {len(domain)}")
@@ -376,16 +355,13 @@ def mise_leading(m, b, n, which, domain, nodes=200):
             )
     axes = tensor_axes(domain, nodes)
     pts = grid_points(axes)
-    f = np.asarray(m.pdf(pts))
-    prod = np.prod(pts ** -0.5 / _TWO_SQRT_PI, axis=-1)
+    var = _variance_prefactor(pts, b, n, m.dim - 1) * np.asarray(m.pdf(pts))
     if which == "density":
         bias2 = (0.5 * b * _curvature_sum(m, pts)) ** 2
-        var = prod * f / (n * b ** ((tau + 1) / 2.0))
-    elif which == "derivative":
-        bias2 = (b * _b1(m, pts)) ** 2
-        var = prod * f / (2.0 * pts[..., -1]) / (n * b ** ((tau + 3) / 2.0))
     else:
-        raise ValueError("which must be 'density' or 'derivative'")
+        bias2 = (b * _b1(m, pts)) ** 2
+        # var_derivative's leading V3 term: f / (2 x_n) at one more 1/b
+        var = var / (2.0 * pts[..., -1] * b)
     integrand = bias2 + var
     if not np.all(np.isfinite(integrand)):
         raise FloatingPointError("non-finite MISE integrand on the grid")
