@@ -153,14 +153,38 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _workers(tasks):
+    """Threads for ``tasks`` independent pieces of work: min(usable CPUs,
+    tasks) on the main thread, and 1 on any other, which is already one
+    of several workers (as in the Monte Carlo pool)."""
+    if threading.current_thread() is not threading.main_thread():
+        return 1
+    return min(_usable_cpus(), tasks)
+
+
+def _thread_map(fn, tasks):
+    """``[fn(t) for t in tasks]`` on ``_workers(len(tasks))`` threads.
+
+    The first exception, in task order, is raised, and the tasks not yet
+    started are dropped.
+    """
+    p = _workers(len(tasks))
+    if p <= 1:
+        return [fn(t) for t in tasks]
+    pool = ThreadPoolExecutor(max_workers=p)
+    try:
+        return list(pool.map(fn, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _field(data, axes, b, axis=None):
     """Estimate on the tensor grid ``axes``; the derivative along ``axis``."""
     n = data.shape[0]
     cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(a.size for a in axes))
     p = 1
-    if (n * math.prod(a.size for a in axes) >= _SPLIT_ELEMS
-            and threading.current_thread() is threading.main_thread()):
-        p = min(_usable_cpus(), axes[0].size)
+    if n * math.prod(a.size for a in axes) >= _SPLIT_ELEMS:
+        p = _workers(axes[0].size)
     # every chunk of a block writes its kernel matrices into the block's
     # workspace, one matrix per axis and a last one for the derivative
     # weights; no two blocks or calls share memory. All are allocated
@@ -183,12 +207,7 @@ def _field(data, axes, b, axis=None):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _sum_terms(data, block_axes, b, axis, cols, work)
 
-    if p == 1:
-        total = block_sum(blocks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=p) as pool:
-            total = np.concatenate(list(pool.map(block_sum, blocks)))
-    values = total / n
+    values = np.concatenate(_thread_map(block_sum, blocks)) / n
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise ValueError(f"the estimate is not finite at {bad} of "
@@ -374,12 +393,16 @@ def _load_lines(path, fh):
 def save_field(field, path):
     """Write a FieldOnGrid as delimited text: coordinates then value per line.
 
-    Nodes run in C order (last axis fastest); each coordinate and each
-    value is formatted once.
+    Nodes run in C order (last axis fastest). Each coordinate is
+    formatted once, and each head of leading coordinates is joined once;
+    every row of the last axis is then one ``%`` format and one write, so
+    memory stays at a row.
     """
-    coords = [[f"{c:.16e}," for c in np.asarray(a).tolist()]
-              for a in field.axes]
-    values = field.values.ravel().tolist()
+    *lead, last = [[f"{c:.16e}," for c in np.asarray(a).tolist()]
+                   for a in field.axes]
+    # joined with a head, the cells read head,c_0,%.16e\n head,c_1,...
+    cells = [""] + [c + "%.16e\n" for c in last]
+    rows = field.values.reshape(-1, len(last))
     with open(path, "w") as fh:
-        fh.writelines("".join(cells) + f"{v:.16e}\n"
-                      for cells, v in zip(itertools.product(*coords), values))
+        for head, row in zip(map("".join, itertools.product(*lead)), rows):
+            fh.write(head.join(cells) % tuple(row.tolist()))

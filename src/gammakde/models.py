@@ -66,6 +66,11 @@ class GammaMarginal:
 
     With u(x) = (k-1)/x - 1/theta the derivatives of the pdf g are
     g' = g u, g'' = g (u^2 + u'), g''' = g (u^3 + 3 u u' + u'').
+
+    Near the float range a power of x or u overflows to inf, and inf
+    meets 0 or inf. The callers check the results for that, so pdf,
+    d1-d3 (with u) and quantile set numpy's error state to ignore it
+    themselves: the state is per thread, and they also run on workers.
     """
 
     def __init__(self, shape, scale=1.0):
@@ -78,12 +83,12 @@ class GammaMarginal:
         self.scale = scale
         self._table = None  # built by the first from_normal call
 
+    @np.errstate(all="ignore")
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         k, th = self.shape, self.scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logg = (k - 1.0) * np.log(x) - x / th - gammaln(k) - k * np.log(th)
-            out = np.exp(logg)
+        logg = (k - 1.0) * np.log(x) - x / th - gammaln(k) - k * np.log(th)
+        out = np.exp(logg)
         if k > 1.0:
             out = np.where(x == 0.0, 0.0, out)
         elif k == 1.0:
@@ -98,15 +103,18 @@ class GammaMarginal:
             return -(k - 1.0) / x**2
         return 2.0 * (k - 1.0) / x**3
 
+    @np.errstate(all="ignore")
     def d1(self, x):
         x = np.asarray(x, dtype=float)
         return self.pdf(x) * self._u(x, 0)
 
+    @np.errstate(all="ignore")
     def d2(self, x):
         x = np.asarray(x, dtype=float)
         u = self._u(x, 0)
         return self.pdf(x) * (u * u + self._u(x, 1))
 
+    @np.errstate(all="ignore")
     def d3(self, x):
         x = np.asarray(x, dtype=float)
         u, u1, u2 = self._u(x, 0), self._u(x, 1), self._u(x, 2)
@@ -115,6 +123,7 @@ class GammaMarginal:
     def cdf(self, x):
         return gammainc(self.shape, np.asarray(x, dtype=float) / self.scale)
 
+    @np.errstate(over="ignore")
     def quantile(self, q):
         return self.scale * gammaincinv(self.shape, q)
 
@@ -180,8 +189,9 @@ class DensityModel:
     with ``pdf`` and ``d2`` over arrays), or is None.
 
     At construction grad is checked against central finite differences
-    of pdf on a probe grid, within 1e-4 relative plus 1e-7 absolute; the
-    higher derivatives are not checked.
+    of pdf on a probe grid, with steps of 1e-4 times each coordinate,
+    within 1e-4 relative plus 1e-7 absolute; the higher derivatives are
+    not checked.
     """
 
     def __init__(self, dim, pdf, grad, hess_diag, third, mixed,
@@ -196,6 +206,10 @@ class DensityModel:
         self.marginals = marginals
         self._validate(probe)
 
+    # near the float range a difference is inf or nan; a comparison with
+    # nan is false, so such a probe passes, and the rules built on the
+    # model refuse what is not finite
+    @np.errstate(all="ignore")
     def _validate(self, probe):
         d = self.dim
         if probe is None:
@@ -207,7 +221,10 @@ class DensityModel:
         probe = np.asarray(probe, dtype=float).reshape(-1, d)
         g = np.asarray(self.grad(probe))
         for j in range(d):
-            h = 1e-4 * np.maximum(probe[:, j], 1.0)
+            # a step relative to the coordinate keeps the check free of
+            # the data's units; a probe at 0 steps by 1e-4
+            x = np.abs(probe[:, j])
+            h = 1e-4 * np.where(x > 0.0, x, 1.0)
             hi, lo = probe.copy(), probe.copy()
             hi[:, j] += h
             lo[:, j] -= h
@@ -226,6 +243,7 @@ def _product_model(marginals):
     marginals = list(marginals)
     d = len(marginals)
 
+    @np.errstate(all="ignore")
     def _stack(x, order_by_axis):
         """Product over axes of the requested per-axis derivative order."""
         x = np.asarray(x, dtype=float)

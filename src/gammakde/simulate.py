@@ -253,6 +253,8 @@ def mc_mise(config):
     axes = _ise_axes(config)
     true_vals = _true_values(config, axes)
 
+    # an ISE past the float range is excluded below, not warned about
+    @np.errstate(all="ignore")
     def ise_of(values):
         return trapezoid_nd((values - true_vals) ** 2, axes)
 

@@ -1,13 +1,14 @@
 """Bandwidth-rule tests: closed-form constants, divergence detection,
 plug-in behavior, and first-order optimality of the mixing rule."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from gammakde import bandwidth
+from gammakde import bandwidth, estimator
 from gammakde.bandwidth import (
     BandwidthRule,
     DivergentIntegralError,
@@ -49,6 +50,13 @@ class TestDensityRule:
         # Gamma(k) with k < 3/2: (x f'')^2 ~ x^{2k-4} is not integrable
         with pytest.raises(DivergentIntegralError, match="denominator"):
             density_bandwidth(product_gamma([0.913]), 1000)
+
+    def test_constant_scales_with_the_reference(self):
+        # a Gamma(3, 0.01) reference used to fail the gradient check of
+        # the model, whose finite-difference step did not scale with x
+        got = [density_bandwidth(product_gamma([3.0], [theta]), 1000).C
+               / theta for theta in (0.01, 1.0)]
+        assert got[0] == pytest.approx(got[1], rel=1e-12)
 
     def test_requires_quantile(self):
         m = from_pdf(lambda x: np.exp(-np.sum(x, axis=-1)), dim=1)
@@ -252,6 +260,60 @@ def test_slab_size_does_not_change_bits(monkeypatch, d):
     assert len(got) == 1
 
 
+def _count_pools(monkeypatch):
+    """Record the worker count of every thread pool the estimator opens."""
+    pools = []
+    real = estimator.ThreadPoolExecutor
+
+    def counted(max_workers):
+        pools.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(estimator, "ThreadPoolExecutor", counted)
+    return pools
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_slab_threads_do_not_change_bits(monkeypatch, d):
+    # slabs of 1 row, and of 6 rows with a short last one, on 1 to 3
+    # threads: the density, derivative and mixing integrals keep their bits
+    monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41, 3: 41})
+    m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
+    mp = MixingProfile(upsilon=0.5, alpha_integral=2.0)
+    pools = _count_pools(monkeypatch)
+    got = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
+        for rows in (1, 6):
+            monkeypatch.setattr(bandwidth, "_SLAB_ELEMS",
+                                rows * 41 ** (d - 1))
+            values = [v for which in ("density", "derivative")
+                      for v in bandwidth._reference_integrals(m, which)]
+            values.append(mixing_bandwidth(m, 1000, mp).metadata["numerator"])
+            got.add(tuple(v.hex() for v in values))
+    assert len(got) == 1
+    # the mixing rule integrates two grids, each cut in 2 slab sizes
+    assert pools == [2] * 8 + [3] * 8
+
+
+def test_rule_off_the_main_thread_stays_serial(monkeypatch):
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41})
+    monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41)
+    pools = _count_pools(monkeypatch)
+    m = product_gamma([3.0, 3.0])
+    want = density_bandwidth(m, 1000).C
+    assert pools == [3]
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.append(density_bandwidth(m, 1000).C))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert got == [want]
+    assert pools == [3]
+
+
 @pytest.mark.parametrize("n", [0, -5])
 @pytest.mark.parametrize("build", [
     lambda n: density_bandwidth(product_gamma([3.0]), n),
@@ -357,6 +419,17 @@ class TestPlugIn:
                                 np.full(100, 2.0)])
         with pytest.raises(ValueError, match="column 1"):
             plug_in_bandwidth(data, which="density")
+
+    @pytest.mark.parametrize("which", ["density", "derivative"])
+    @pytest.mark.parametrize("stages", [1, 2])
+    def test_bandwidth_scales_with_the_data(self, which, stages):
+        # b of c * sample is c * b: the rule does not depend on the units
+        data = self._gamma3_sample(2000)
+        want = plug_in_bandwidth(data, which, stages).bandwidth(len(data))
+        for c in (1e-3, 1e3):
+            got = plug_in_bandwidth(c * data, which, stages)
+            assert got.bandwidth(len(data)) == pytest.approx(c * want,
+                                                             rel=1e-12)
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="50"):

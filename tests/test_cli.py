@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gammakde import estimator, theory
+from gammakde import bandwidth, estimator, theory
 from gammakde.cli import main
 from gammakde.kernel import kernel_eval
 
@@ -271,17 +271,7 @@ BAD_INPUT_MESSAGE = {
 }
 
 
-# on the way to their error these runs overflow in a NumPy square or exp
-# at scales near 1e300; that RuntimeWarning is a leak of its own, not
-# what these cases check, so they ignore RuntimeWarning only
-OVERFLOW_WARNS = {"density-rule-zero", "mixing-rule-zero",
-                  "simulate-rule-zero", "simulate-ise-not-finite"}
-
-
-@pytest.mark.parametrize("key", [
-    pytest.param(key, marks=pytest.mark.filterwarnings(
-        "ignore::RuntimeWarning")) if key in OVERFLOW_WARNS else key
-    for key in BAD_INPUT], ids=BAD_INPUT.keys())
+@pytest.mark.parametrize("key", BAD_INPUT)
 def test_bad_input_is_usage_error(tmp_path, capsys, key):
     _assert_usage_error(tmp_path, capsys, key)
 
@@ -291,6 +281,17 @@ def test_bad_input_with_node_blocks(tmp_path, capsys, monkeypatch, key):
     # the error is raised in a worker thread of the split field
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
+    err = _assert_usage_error(tmp_path, capsys, key)
+    assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize("key", ["derivative-rule-zero", "density-rule-zero",
+                                 "mixing-rule-zero", "simulate-rule-zero"])
+def test_bad_input_with_slab_threads(tmp_path, capsys, monkeypatch, key):
+    # every rule grid cut into slabs of 6 rows, the last one short, on 3
+    # threads
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6)
     err = _assert_usage_error(tmp_path, capsys, key)
     assert err.count("error:") == 1
 
@@ -341,6 +342,14 @@ class TestBandwidth:
             assert main(["bandwidth"] + spec.format(mini=MINI).split()) == 0
             text.append(capsys.readouterr().out)
         assert "".join(text).encode() == RULE_GOLDEN.read_bytes()
+
+    def test_rule_output_golden_with_slab_threads(self, capsys,
+                                                  monkeypatch):
+        # the 4001-node grids in 5 slabs, the last of 1 row, and the
+        # 801^2 grids in 1-row slabs, on 3 threads
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 1000)
+        self.test_rule_output_golden(capsys)
 
     def test_density_model_rule(self, capsys):
         rc = main(["bandwidth", "--which", "density", "--tau", "0",

@@ -4,7 +4,7 @@
 ``gammakde bandwidth`` and ``simulate`` on any gamma marginal with
 parameters in [1e-300, 1e300], either exit 0 and print and write only
 finite numbers, or are a usage error: exit 2 and one error line, with no
-traceback. ``estimate`` also raises no numpy warning. ``load_sample``
+traceback. None of them raises a numpy warning. ``load_sample``
 reads any mix of headers, comments, blank lines and delimiters exactly
 as the line parser does, or both refuse the file.
 """
@@ -40,20 +40,14 @@ taus = st.sampled_from([0, 1])
 gamma_params = st.floats(min_value=1e-300, max_value=1e300) \
     | st.floats(min_value=3.0, max_value=10.0)
 
-# numpy overflows in a square or exp at gamma scales near 1e300 and warns
-# while the result is still right (or refused); that leak is a defect of
-# its own, so the bandwidth and simulate runs ignore RuntimeWarning only
-OVERFLOW = (RuntimeWarning,)
 
-
-def _run(argv, quiet=()):
+def _run(argv):
     """(exit status, output text or None) of one in-process run, checked.
 
     In argv, ``{rows}`` names a file holding ROWS and ``{out}`` an output
-    file, both in a fresh directory. Every warning is an error, except
-    those of the categories in ``quiet``. The run must exit 0 with every
-    number it prints or writes finite, or exit 2 with one error line, no
-    traceback and no output file.
+    file, both in a fresh directory. Every warning is an error. The run
+    must exit 0 with every number it prints or writes finite, or exit 2
+    with one error line, no traceback and no output file.
     """
     with tempfile.TemporaryDirectory() as tmp:
         rows = Path(tmp) / "rows.txt"
@@ -63,8 +57,6 @@ def _run(argv, quiet=()):
         with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
                 contextlib.redirect_stdout(printed):
             warnings.simplefilter("error")
-            for category in quiet:
-                warnings.simplefilter("ignore", category)
             try:
                 status = main([a.format(rows=rows, out=out) for a in argv])
             except SystemExit as exc:
@@ -125,7 +117,7 @@ def test_bandwidth_is_finite_or_usage_error(which, tau, n, shape, scale,
     if mixing is not None:
         argv += [f"--upsilon={mixing[0]!r}",
                  f"--alpha-integral={mixing[1]!r}"]
-    _run(argv, quiet=OVERFLOW)
+    _run(argv)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -152,7 +144,7 @@ def test_simulate_is_finite_or_usage_error(which, tau, sizes, b, phi, shape,
             f"--marginal=gamma:{shape!r},{scale!r}"]
     if b is not None:
         argv.append(f"--b={b!r}")
-    _run(argv, quiet=OVERFLOW)
+    _run(argv)
 
 
 # numbers both parsers read, then tokens one parser or as_sample refuses
