@@ -113,8 +113,9 @@ def _power_sub_integrals(m, integrands, p, names, curvature=True):
     marginal values, are computed once per axis. The grid is then cut
     into slabs of axis 0 of about _SLAB_ELEMS = 2^16 nodes, so each
     float64 temporary of a slab (512 KB) stays in a 2 MB L2 cache. On a
-    2-vCPU VM, slabs of 2^15 to 2^17 nodes were fastest; from 2^19 on,
-    the d = 2 and d = 3 rules took 1.5 to 2 times as long.
+    2-vCPU VM, 2^16 was fastest or tied at d = 2 and d = 3; 2^13 was
+    20% slower at d = 3, and from 2^19 on both rules took 1.5 to 2
+    times as long.
     Each slab is integrated over its other axes, then the row integrals
     over axis 0, which is the iterated trapezoid rule of the whole grid,
     bit for bit. Called on the main thread, the slabs run on min(usable
