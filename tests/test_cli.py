@@ -374,6 +374,17 @@ class TestBandwidth:
                        if l.startswith("C=")).split("=")[1])
         assert c == pytest.approx((108.0 / 35.0) ** (2.0 / 7.0), abs=1e-3)
 
+    def test_narrow_model_rule(self, capsys):
+        # Gamma(1e6, 1e-6): sd 1e-3 around 1, inside the gradient check's
+        # default step of 1e-4 x
+        assert main(["bandwidth", "--which", "density", "--n", "100",
+                     "--model", "gamma:1e6,1e-6"]) == 0
+        out = capsys.readouterr().out
+        assert "kind=DensityRef" in out
+        c = float(next(l for l in out.splitlines()
+                       if l.startswith("C=")).split("=")[1])
+        assert np.isfinite(c) and c > 0.0
+
     def test_data_rule(self, capsys):
         rc = main(["bandwidth", "--which", "density", "--tau", "0",
                    "--n", "100", "--model", f"data:{MINI}"])

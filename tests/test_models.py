@@ -9,7 +9,11 @@ from scipy.special import gammainccinv, gammaincinv, ndtr
 from scipy.stats import expon, gamma as gamma_dist
 
 from gammakde.models import (
+    _Z_STEPS,
+    _Z_TABLE,
+    DensityModel,
     GammaMarginal,
+    _normal_table,
     from_pdf,
     product_exponential,
     product_gamma,
@@ -91,6 +95,20 @@ class TestFromNormal:
         got = GammaMarginal(k, 1.7).from_normal(Z_WIDE)
         _assert_relative(got, _tail_reference(k, 1.7, Z_WIDE),
                          rtol=1e-12 if k < 0.5 else 1e-13)
+
+    @pytest.mark.parametrize("k", [0.05, 0.5, 1.0, 3.0, 10.0, 100.0])
+    def test_dense_in_every_table_piece(self, k):
+        # pieces are marked for a Halley step from their midpoint alone,
+        # so check 16 points in each
+        pieces = int(2 * _Z_TABLE * _Z_STEPS)
+        z = -_Z_TABLE + (np.arange(pieces * 16) / 16) / _Z_STEPS
+        _assert_relative(GammaMarginal(k, 1.7).from_normal(z),
+                         _tail_reference(k, 1.7, z),
+                         rtol=1e-12 if k < 0.5 else 1e-13)
+
+    @pytest.mark.parametrize("k", [1.0, 3.0])
+    def test_no_halley_step_at_common_shapes(self, k):
+        assert not _normal_table(k)[2].any()
 
     def test_exponential_closed_form(self):
         th = 0.6
@@ -249,3 +267,20 @@ class TestFromPdf:
                 hess_diag=m.hess_diag, third=m.third, mixed=m.mixed,
                 quantile=m.quantile,
             )
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_validation_catches_wrong_gradient_at_any_scale(self, scale):
+        m = product_gamma([3.0], scales=[scale])
+        with pytest.raises(ValueError, match="gradient inconsistent"):
+            DensityModel(
+                1, m.pdf,
+                grad=lambda x: 2.0 * m.grad(x),
+                hess_diag=m.hess_diag, third=m.third, mixed=m.mixed,
+                quantile=m.quantile,
+            )
+
+    @pytest.mark.parametrize("shape,scale", [(3.0, 1e-3), (3.0, 1e3),
+                                             (1e6, 1e-6)])
+    def test_validation_accepts_any_scale_and_width(self, shape, scale):
+        # Gamma(1e6, 1e-6) has sd 1e-3 around 1
+        assert product_gamma([shape, 2.0], scales=[scale, 1.0]).dim == 2

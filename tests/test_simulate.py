@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.signal import lfilter
+from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri
 from scipy.stats import kstest, pearsonr
 
 from gammakde import simulate
@@ -53,6 +54,21 @@ class TestGenSeries:
         np.testing.assert_array_equal(a, b)
         c = gen_series(AR_SPEC, 500, seed=43)
         assert not np.array_equal(a, c)
+
+    def test_matches_tail_inverse_of_latent_chain(self):
+        # the same latent AR(1) as gen_series, mapped through the inverse
+        # CDF solved on the smaller tail
+        phi = 0.5
+        spec = MixingProcessSpec(GammaMarginal(3.0, 1.0), phi=phi)
+        eps = np.random.Generator(np.random.Philox(key=17)).standard_normal(
+            20_000)
+        w = eps * np.sqrt(1.0 - phi * phi)
+        w[0] = eps[0]
+        z = lfilter([1.0], [1.0, -phi], w)
+        ref = np.where(z <= 0, gammaincinv(3.0, ndtr(z)),
+                       gammainccinv(3.0, ndtr(-z)))
+        np.testing.assert_allclose(gen_series(spec, 20_000, seed=17), ref,
+                                   rtol=1e-13, atol=0.0)
 
     def test_iid_marginal_is_exact(self):
         x = gen_series(EXP_SPEC, 20_000, seed=7)
