@@ -31,9 +31,9 @@ __all__ = [
 # [-_Z_TABLE, _Z_TABLE] with step 1 / _Z_STEPS
 _Z_TABLE = 8.5
 _Z_STEPS = 512
-# an interval whose Hermite value at its midpoint is further than this
+# a table piece whose value at its midpoint is further than this
 # (relative) from the inverse gets a Halley step; a quarter of the 1e-13
-# that from_normal holds for shape >= 0.5
+# that from_normal holds for shape >= 0.5, used for every shape
 _TABLE_RTOL = 2.5e-14
 # at x <= 1.1 scipy evaluates gammaincc by a series that costs 1-5 us per
 # value for shape < 1.5; there the upper tail is not small, so from_normal
