@@ -375,8 +375,7 @@ class TestBandwidth:
         assert c == pytest.approx((108.0 / 35.0) ** (2.0 / 7.0), abs=1e-3)
 
     def test_narrow_model_rule(self, capsys):
-        # Gamma(1e6, 1e-6): sd 1e-3 around 1, inside the gradient check's
-        # default step of 1e-4 x
+        # Gamma(1e6, 1e-6): a narrow but valid reference, sd 1e-3 around 1
         assert main(["bandwidth", "--which", "density", "--n", "100",
                      "--model", "gamma:1e6,1e-6"]) == 0
         out = capsys.readouterr().out
