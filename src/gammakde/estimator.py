@@ -162,13 +162,12 @@ def _workers(tasks):
     return min(_usable_cpus(), tasks)
 
 
-def _thread_map(fn, tasks):
-    """``[fn(t) for t in tasks]`` on ``_workers(len(tasks))`` threads.
-
-    The first exception, in task order, is raised, and the tasks not yet
-    started are dropped.
+def _thread_map(fn, tasks, workers=None):
+    """``[fn(t) for t in tasks]`` on ``workers`` threads, by default
+    ``_workers(len(tasks))``. The first exception, in task order, is
+    raised, and the tasks not yet started are dropped.
     """
-    p = _workers(len(tasks))
+    p = _workers(len(tasks)) if workers is None else workers
     if p <= 1:
         return [fn(t) for t in tasks]
     pool = ThreadPoolExecutor(max_workers=p)

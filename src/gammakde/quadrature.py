@@ -22,8 +22,10 @@ def grid_points(axes):
 
 
 def trapezoid_nd(values, axes):
-    """Iterated trapezoid rule of a values tensor over its axes."""
+    """Iterated trapezoid rule of a values tensor over its last
+    ``len(axes)`` axes, the last one first: a float when no axis is
+    left, else the array of the leading axes."""
     out = np.asarray(values, dtype=float)
     for a in reversed(axes):
         out = np.trapezoid(out, a, axis=-1)
-    return float(out)
+    return float(out) if out.ndim == 0 else out

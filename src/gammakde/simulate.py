@@ -9,10 +9,11 @@ the mixing coefficient is integrable, while the marginals are exact.
 
 Experiments are deterministic: replicate streams are counter-based
 (Philox) and derived from the experiment seed, so results are
-bit-identical for any worker count.
+bit-identical for any worker count. Replicates run on the pool helper
+of the node blocks and rule slabs, ``estimator._thread_map``: on
+``workers`` threads, or on the calling thread at one worker.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,8 @@ class ExperimentConfig:
             raise ValueError("n_grid must be strictly increasing")
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
+        if self.workers < 1:
+            raise ValueError("need at least 1 worker")
         if self.which not in ("density", "derivative"):
             raise ValueError("which must be 'density' or 'derivative'")
         if self.bandwidth is None:
@@ -156,10 +159,8 @@ def truth_model(spec, tau):
             dens = dens * marg.pdf(x[..., j])
         return dens
 
-    probe = np.array([[marg.quantile(q)] * d for q in (0.3, 0.5, 0.7)])
     return from_pdf(pdf, d, scale=marg.quantile(0.5),
-                    quantile=lambda q: np.full(d, marg.quantile(q)),
-                    probe=probe)
+                    quantile=lambda q: np.full(d, marg.quantile(q)))
 
 
 def _replicate_seed(seed, global_rep):
@@ -184,8 +185,7 @@ def _run_replicates(config, n_index, task):
     reps = config.replicates
     base = n_index * reps
     seeds = [_replicate_seed(config.seed, base + r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(task, seeds))
+    return estimator._thread_map(task, seeds, config.workers)
 
 
 def _true_values(config, axes):
@@ -285,20 +285,11 @@ def rate_fit(result):
         if not (np.isfinite(m) and m > 0.0):
             raise ValueError(f"rate fit needs a finite positive MISE, "
                              f"got {m:.6g} at n={n}")
-    logn = np.log([n for n, _ in summary])
-    logm = np.log([m for _, m in summary])
-    A = np.vstack([logn, np.ones_like(logn)]).T
-    coef, *_ = np.linalg.lstsq(A, logm, rcond=None)
-    slope = float(coef[0])
-    # k >= 3 distinct sizes, so the residual variance has k - 2 > 0 dof
-    k = len(logn)
-    resid = logm - A @ coef
-    s2 = float(resid @ resid) / (k - 2)
-    sxx = float(np.sum((logn - logn.mean()) ** 2))
-    stderr = float(np.sqrt(s2 / sxx))
-    result.slope = slope
-    result.slope_se = stderr
-    return slope, stderr
+    logn, logm = np.log(summary).T
+    # k >= 3 sizes: polyfit scales the covariance by k - 2 > 0 dof
+    coef, cov = np.polyfit(logn, logm, 1, cov=True)
+    result.slope, result.slope_se = float(coef[0]), float(np.sqrt(cov[0, 0]))
+    return result.slope, result.slope_se
 
 
 def export_result(result, path):

@@ -1,0 +1,22 @@
+"""Fixtures shared by the test modules."""
+
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from gammakde import estimator
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The thread count of each pool ``estimator._thread_map`` opens, in
+    order: node blocks, rule slabs and Monte Carlo replicates alike."""
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(estimator, "ThreadPoolExecutor", Recording)
+    return sizes

@@ -233,8 +233,10 @@ def test_open_grid_matches_stacked_grid_bitwise(monkeypatch, d):
     # the integrals average away most last-bit differences, so the
     # integrands are compared node by node first
     x = np.ix_(*[np.linspace(0.01, 12.0, 41)] * d)
-    for got, want in zip(bandwidth._density_terms(m, x),
-                         bandwidth._density_terms(stacked, x)):
+    for got, want in zip(
+            bandwidth._grid_terms(m, bandwidth._axis_terms(m, x))[1:],
+            bandwidth._grid_terms(stacked,
+                                  bandwidth._axis_terms(stacked, x))[1:]):
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     for which in ("density", "derivative"):
@@ -260,27 +262,13 @@ def test_slab_size_does_not_change_bits(monkeypatch, d):
     assert len(got) == 1
 
 
-def _count_pools(monkeypatch):
-    """Record the worker count of every thread pool the estimator opens."""
-    pools = []
-    real = estimator.ThreadPoolExecutor
-
-    def counted(max_workers):
-        pools.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(estimator, "ThreadPoolExecutor", counted)
-    return pools
-
-
 @pytest.mark.parametrize("d", [2, 3])
-def test_slab_threads_do_not_change_bits(monkeypatch, d):
+def test_slab_threads_do_not_change_bits(monkeypatch, pool_sizes, d):
     # slabs of 1 row, and of 6 rows with a short last one, on 1 to 3
     # threads: the density, derivative and mixing integrals keep their bits
     monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41, 3: 41})
     m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
     mp = MixingProfile(upsilon=0.5, alpha_integral=2.0)
-    pools = _count_pools(monkeypatch)
     got = set()
     for cpus in (1, 2, 3):
         monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
@@ -293,17 +281,16 @@ def test_slab_threads_do_not_change_bits(monkeypatch, d):
             got.add(tuple(v.hex() for v in values))
     assert len(got) == 1
     # the mixing rule integrates two grids, each cut in 2 slab sizes
-    assert pools == [2] * 8 + [3] * 8
+    assert pool_sizes == [2] * 8 + [3] * 8
 
 
-def test_rule_off_the_main_thread_stays_serial(monkeypatch):
+def test_rule_off_the_main_thread_stays_serial(monkeypatch, pool_sizes):
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41})
     monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41)
-    pools = _count_pools(monkeypatch)
     m = product_gamma([3.0, 3.0])
     want = density_bandwidth(m, 1000).C
-    assert pools == [3]
+    assert pool_sizes == [3]
     got = []
     worker = threading.Thread(
         target=lambda: got.append(density_bandwidth(m, 1000).C))
@@ -311,7 +298,7 @@ def test_rule_off_the_main_thread_stays_serial(monkeypatch):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert got == [want]
-    assert pools == [3]
+    assert pool_sizes == [3]
 
 
 @pytest.mark.parametrize("n", [0, -5])

@@ -325,19 +325,6 @@ def _force_blocks(monkeypatch, cpus):
     monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
 
 
-def _record_pools(monkeypatch):
-    """The thread count of each pool the estimator starts, in order."""
-    sizes = []
-
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(estimator, "ThreadPoolExecutor", Recording)
-    return sizes
-
-
 class TestChunkedEngine:
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 129, 1000, 4097])
     @pytest.mark.parametrize("kind", ["density", "derivative"])
@@ -396,11 +383,10 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("kind", ["density", "derivative"])
     def test_memory_bounded_by_chunk_with_node_blocks(self, monkeypatch,
-                                                      kind):
+                                                      pool_sizes, kind):
         _force_blocks(monkeypatch, 4)
-        pools = _record_pools(monkeypatch)
         assert _field_peak(kind) < 32e6
-        assert pools == [4]
+        assert pool_sizes == [4]
 
     def test_threads_share_no_workspace(self, monkeypatch):
         # 33 chunks per call, each written into the workspace of its call;
@@ -433,7 +419,8 @@ class TestNodeBlocks:
         (1, None), (1, 0), (2, None), (2, 0), (2, 1),
         (3, None), (3, 0), (3, 2),
     ])
-    def test_bytes_equal_one_block(self, monkeypatch, d, axis, m0, chunk):
+    def test_bytes_equal_one_block(self, monkeypatch, pool_sizes, d, axis,
+                                   m0, chunk):
         data = _sample(d, n=1500, seed=m0)
         data[::7, 0] = 0.0
         data[::5, d - 1] = 0.0
@@ -448,10 +435,10 @@ class TestNodeBlocks:
         want = field_on_grid(data, axes, b, kind=kind, axis=axis).values
         for cpus in (2, 3, 4):
             _force_blocks(monkeypatch, cpus)
-            pools = _record_pools(monkeypatch)
+            pool_sizes.clear()
             got = field_on_grid(data, axes, b, kind=kind, axis=axis).values
             assert got.tobytes() == want.tobytes()
-            assert pools == ([min(cpus, m0)] if m0 > 1 else [])
+            assert pool_sizes == ([min(cpus, m0)] if m0 > 1 else [])
 
     def test_blocks_under_frequent_switches(self, monkeypatch):
         # 8 blocks on more threads than cores, switching every microsecond,
@@ -474,42 +461,41 @@ class TestNodeBlocks:
         for field in got:
             assert field.values.tobytes() == want.values.tobytes()
 
-    def test_small_fields_stay_serial(self, monkeypatch):
+    def test_small_fields_stay_serial(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(estimator, "_usable_cpus", lambda: 4)
-        pools = _record_pools(monkeypatch)
         # 1500 x 7 x 5 kernel values, below the 2^20 threshold
         data = _sample(2, n=1500)
         field_on_grid(data, [np.linspace(0.0, 4.0, 7),
                              np.linspace(0.0, 4.0, 5)], 0.2)
-        assert pools == []
+        assert pool_sizes == []
         field_on_grid(data, [np.linspace(0.0, 4.0, 700),
                              np.linspace(0.0, 4.0, 5)], 0.2)
-        assert pools == [4]
+        assert pool_sizes == [4]
 
-    def test_fields_off_the_main_thread_stay_serial(self, monkeypatch):
+    def test_fields_off_the_main_thread_stay_serial(self, monkeypatch,
+                                                    pool_sizes):
         _force_blocks(monkeypatch, 4)
-        pools = _record_pools(monkeypatch)
         data = _sample(2, n=300)
         axes = [np.linspace(0.0, 4.0, 7), np.linspace(0.0, 4.0, 5)]
         with ThreadPoolExecutor(max_workers=1) as pool:
             got = pool.submit(field_on_grid, data, axes, 0.2).result()
-        assert pools == []
+        assert pool_sizes == []
         want = field_on_grid(data, axes, 0.2)
-        assert pools == [4]
+        assert pool_sizes == [4]
         assert got.values.tobytes() == want.values.tobytes()
 
-    def test_non_finite_field_raises_without_warning(self, monkeypatch):
+    def test_non_finite_field_raises_without_warning(self, monkeypatch,
+                                                     pool_sizes):
         # x/b = 1e306 and 2e306 are finite, but r ln b overflows and the
         # log kernel is inf - inf at both nodes
         _force_blocks(monkeypatch, 2)
-        pools = _record_pools(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
                                match="not finite at 2 of 2 nodes"):
                 field_on_grid([[1.0], [2.0], [0.5]],
                               [np.array([1e6, 2e6])], 1e-300)
-        assert pools == [2]
+        assert pool_sizes == [2]
 
 
 def _write(path, text):

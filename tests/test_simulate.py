@@ -13,7 +13,7 @@ from scipy.signal import lfilter
 from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri
 from scipy.stats import kstest, pearsonr
 
-from gammakde import simulate
+from gammakde import estimator, simulate
 from gammakde.models import GammaMarginal
 from gammakde.simulate import (
     ExperimentConfig,
@@ -202,6 +202,32 @@ class TestMcMise:
             assert b"# excluded" not in first
             assert all(run.read_bytes() == first for run in runs[1:])
 
+    def test_replicates_share_the_estimator_pool(self, pool_sizes):
+        # one pool of `workers` threads per n; the fields in it stay on
+        # their worker, and at one worker the replicates open no pool
+        mc_mise(self._config(workers=3))
+        assert pool_sizes == [3, 3, 3]
+        pool_sizes.clear()
+        mc_mise(self._config(workers=1))
+        assert pool_sizes == []
+
+    def test_node_blocks_at_one_worker_keep_the_bytes(self, monkeypatch,
+                                                      pool_sizes, tmp_path):
+        # at one worker the replicates run on the main thread, where every
+        # field is cut into 2 node blocks; at 2 workers none is
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
+        written = []
+        for workers in (1, 2):
+            res = mc_mise(self._config(
+                process=AR_SPEC, n_grid=[60, 80, 120], replicates=3, tau=2,
+                bandwidth=0.3, workers=workers))
+            rate_fit(res)
+            export_result(res, tmp_path / "out.csv")
+            written.append((tmp_path / "out.csv").read_bytes())
+        assert pool_sizes == [2] * 9 + [2] * 3
+        assert written[0] == written[1]
+
     def test_mise_decreases_with_n(self):
         cfg = self._config(n_grid=[100, 400, 1600], replicates=12)
         res = mc_mise(cfg)
@@ -249,6 +275,20 @@ class TestRateFit:
         assert se == pytest.approx(0.0, abs=1e-10)
         assert res.slope == slope
 
+    def test_matches_textbook_least_squares(self):
+        # slope sxy/sxx and se sqrt(s2/sxx), s2 on k - 2 degrees of freedom
+        res = ExperimentResult(which="density")
+        ns = np.array([100, 200, 400, 800, 1600])
+        mise = 3.0 * ns ** (-0.8) * np.exp([0.05, -0.02, 0.04, -0.06, 0.01])
+        res.summary = [(n, m, 0.0) for n, m in zip(ns, mise)]
+        x, y = np.log(ns), np.log(mise)
+        sxx = np.sum((x - x.mean()) ** 2)
+        slope = np.sum((x - x.mean()) * (y - y.mean())) / sxx
+        resid = y - y.mean() - slope * (x - x.mean())
+        se = np.sqrt(resid @ resid / (len(ns) - 2) / sxx)
+        got = rate_fit(res)
+        assert got == pytest.approx((slope, se), rel=1e-12)
+
     def test_needs_three_sizes(self):
         res = ExperimentResult(which="density")
         res.summary = [(100, 1.0, 0.0), (200, 0.5, 0.0)]
@@ -271,6 +311,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="replicates"):
             ExperimentConfig(process=EXP_SPEC, n_grid=[100], replicates=1,
                              tau=0, seed=1, bandwidth=0.1)
+
+    def test_needs_a_worker(self):
+        with pytest.raises(ValueError, match="1 worker"):
+            ExperimentConfig(process=EXP_SPEC, n_grid=[100], replicates=2,
+                             tau=0, seed=1, bandwidth=0.2, workers=0)
 
     def test_rule_bandwidth_resolves_per_n(self):
         from gammakde.bandwidth import BandwidthRule
