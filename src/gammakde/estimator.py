@@ -75,6 +75,8 @@ _PAIRWISE_BLOCK = 128
 # kernel values (n times the node count) from which a field is worth
 # splitting into node blocks on several threads
 _SPLIT_ELEMS = 1 << 20
+# floats under 4 MiB, from which numpy asks for transparent huge pages
+_RUN_ELEMS = (1 << 19) - 1
 
 
 @dataclass
@@ -188,23 +190,26 @@ def _field(data, axes, b, axis=None):
     # workspace, one matrix per axis and a last one for the derivative
     # weights; no two blocks or calls share memory. All are allocated
     # here, in the calling thread: allocated in the workers they raised
-    # lag-series' peak RSS by 15 MB
+    # lag-series' peak RSS by 15 MB. A block sums its axis-0 nodes in
+    # runs of matrices under _RUN_ELEMS, with the same bits: huge pages
+    # reused from malloc's heaps made mc-study's peak RSS vary by 25 MB
     k = min(cols, n)
     blocks = []
     for nodes in np.array_split(axes[0], p):
-        block_axes = [nodes] + axes[1:]
-        work = [np.empty(a.size * k) for a in block_axes]
+        runs = np.array_split(nodes, -(-nodes.size // max(1, _RUN_ELEMS // k)))
+        work = [np.empty(a.size * k) for a in [runs[0]] + axes[1:]]
         if axis is not None:
-            work.append(np.empty(block_axes[axis].size * k))
-        blocks.append((block_axes, work))
+            work.append(np.empty(work[axis].size))
+        blocks.append((runs, work))
 
     def block_sum(block):
-        block_axes, work = block
+        runs, work = block
         # past the float range a log kernel runs to -inf, a kernel of 0,
         # and the terms to inf or nan, which only a non-finite total
         # shows; numpy's error state does not carry into pool threads
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _sum_terms(data, block_axes, b, axis, cols, work)
+            return np.concatenate([_sum_terms(data, [r] + axes[1:], b, axis,
+                                              cols, work) for r in runs])
 
     values = np.concatenate(_thread_map(block_sum, blocks)) / n
     bad = np.count_nonzero(~np.isfinite(values))

@@ -461,6 +461,47 @@ class TestNodeBlocks:
         for field in got:
             assert field.values.tobytes() == want.values.tobytes()
 
+    @pytest.mark.parametrize("run", [1, 2, 5])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("d,axis", [
+        (1, None), (1, 0), (2, 0), (2, 1), (3, None), (3, 2),
+    ])
+    def test_runs_bytes_equal_one_run(self, monkeypatch, pool_sizes, d,
+                                      axis, cpus, run):
+        data = _sample(d, n=300, seed=d)
+        data[::7, 0] = 0.0
+        axes = [np.linspace(0.0, 4.0, 11)] + [np.linspace(0.0, 4.0, 6 - j)
+                                              for j in range(1, d)]
+        kind = "density" if axis is None else "derivative"
+        # chunks of 128 rows, so the runs also meet the row split
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMS", 1)
+        _force_blocks(monkeypatch, cpus)
+        want = field_on_grid(data, axes, 0.2, kind=kind, axis=axis).values
+        pool_sizes.clear()
+        # at most `run` axis-0 nodes per run of 128 columns
+        monkeypatch.setattr(estimator, "_RUN_ELEMS", 128 * run)
+        got = field_on_grid(data, axes, 0.2, kind=kind, axis=axis).values
+        assert got.tobytes() == want.tobytes()
+        # the runs of a block stay on its thread
+        assert pool_sizes == ([cpus] if cpus > 1 else [])
+
+    def test_axis0_matrices_stay_under_huge_page_size(self, monkeypatch):
+        # the largest Monte Carlo field: 200 nodes by 4000 observations,
+        # whose 6.4 MB matrices numpy would back with huge pages
+        data = _sample(1, n=4000)
+        sizes = []
+        empty = np.empty
+
+        def recording_empty(shape, *args, **kwargs):
+            sizes.append(int(np.prod(shape)))
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recording_empty)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(field_on_grid, data, [np.linspace(0.5, 8.0, 200)],
+                        0.2, kind="derivative", axis=0).result()
+        assert max(sizes) == 100 * 4000 < 1 << 19
+
     def test_small_fields_stay_serial(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(estimator, "_usable_cpus", lambda: 4)
         # 1500 x 7 x 5 kernel values, below the 2^20 threshold
