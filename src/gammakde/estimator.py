@@ -16,29 +16,35 @@ x_a > 0, and c_i = 0 at x_a = 0.
 The sum over the sample is taken in chunks of at most
 cols = max(128, 2^20 // sum_j m_j) rows, for m_j nodes on axis j, so the
 kernel matrices of one chunk hold about 2^20 floats (8 MB). They live in
-a workspace allocated once per call (one per node block, below) and
-reused by every chunk, plus one more matrix for the derivative weights.
-The rows are split as numpy's pairwise sum splits a row (half = n // 2,
-rounded down to a multiple of 8, recursively), the two halves' sums are
-added, and the total is divided by n once. Memory is
-O(cols * sum_j m_j) for the workspace plus one partial field of
-prod_j m_j values per level of the split, log2(n / cols) levels. For
-d = 1 each chunk is a subtree of the pairwise sum over all n terms, so
-the estimate is bitwise the one-pass ``mean``. For d >= 2 it is bitwise
-the one-pass ``einsum`` while n <= cols; beyond, it stays deterministic
-and differs from the one-pass sum only in the last bits.
+workspaces allocated once per call and reused by every chunk, plus one
+more matrix for the derivative weights. Each chunk builds each axis's
+matrix once: n * sum_j m_j kernel values per field. The rows are split
+as numpy's pairwise sum splits a row (half = n // 2, rounded down to a
+multiple of 8, recursively), the two halves' sums are added, and the
+total is divided by n once. Memory is O(cols * sum_j m_j) for the
+workspaces plus one partial field of prod_j m_j values per level of the
+split, log2(n / cols) levels. For d = 1 each chunk is a subtree of the
+pairwise sum over all n terms, so the estimate is bitwise the one-pass
+``mean``. d = 3 is summed in two steps, a slab of axis-0 nodes at a
+time: the elementwise P = A * B over the chunk's rows, then one
+two-operand ``einsum`` of P with C, so each value is one dot over the
+rows. d = 2 and d >= 4 take one ``einsum`` of all the matrices, bitwise
+the one-pass ``einsum`` while n <= cols; d = 3 is not, even then. Every
+d >= 2 stays deterministic and differs from the one-pass sum only in
+the last bits.
 
-Every grid node is independent work. A field of at least 2^20 kernel
-values (n * prod_j m_j) computed on the main thread is cut into
-p = min(usable CPUs, m_0) contiguous blocks of the axis-0 nodes, and
-each block runs the sum above over the whole sample on its own thread.
-The block results are concatenated and divided by n once. ``cols`` comes
-from the full grid, so each node's summation tree is unchanged: the
-bytes are those of p = 1 for any CPU count. Each block has its own
-workspace; the axis-0 matrices are split between the blocks, and those
-of the axes >= 1 are repeated, so memory grows by p - 1 copies of
-those. A field computed on any other thread, as in the Monte Carlo
-pool, stays on that thread.
+Every grid node is independent work. A 1-d field of at least 2^20
+kernel values (n * m_0) computed on the main thread is cut into
+p = min(usable CPUs, m_0) contiguous blocks of its nodes, and each block
+runs the sum above over the whole sample on its own thread, in its own
+workspace. The block results are concatenated and divided by n once.
+``cols`` comes from the full grid, so each node's summation tree is
+unchanged: the bytes are those of p = 1 for any CPU count. A field of
+d >= 2 stays on the calling thread, so the matrices of the axes >= 1 are
+built once per chunk: on a 2-vCPU host, node blocks that shared them
+between threads took more CPU and more wall time than one thread. A
+field computed on any other thread, as in the Monte Carlo pool, stays
+on that thread too.
 """
 
 import itertools
@@ -72,11 +78,14 @@ _CHUNK_ELEMS = 1 << 20
 # numpy sums a block of up to 128 terms in one pass, without splitting it,
 # so no chunk is made smaller (and under 16 rows half would round to 0)
 _PAIRWISE_BLOCK = 128
-# kernel values (n times the node count) from which a field is worth
+# kernel values (n times the node count) from which a 1-d field is worth
 # splitting into node blocks on several threads
 _SPLIT_ELEMS = 1 << 20
 # floats under 4 MiB, from which numpy asks for transparent huge pages
 _RUN_ELEMS = (1 << 19) - 1
+# floats in the product of a slab of axis-0 nodes with the axis-1 matrix
+# at d = 3 (1 MiB), or more where one node's product is larger
+_SLAB_ELEMS = 1 << 17
 
 
 @dataclass
@@ -182,34 +191,37 @@ def _thread_map(fn, tasks, workers=None):
 def _field(data, axes, b, axis=None):
     """Estimate on the tensor grid ``axes``; the derivative along ``axis``."""
     n = data.shape[0]
-    cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(a.size for a in axes))
+    shape = [a.size for a in axes]
+    cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(shape))
     p = 1
-    if n * math.prod(a.size for a in axes) >= _SPLIT_ELEMS:
-        p = _workers(axes[0].size)
+    if len(axes) == 1 and n * shape[0] >= _SPLIT_ELEMS:
+        p = _workers(shape[0])
     # every chunk of a block writes its kernel matrices into the block's
-    # workspace, one matrix per axis and a last one for the derivative
-    # weights; no two blocks or calls share memory. All are allocated
-    # here, in the calling thread: allocated in the workers they raised
-    # lag-series' peak RSS by 15 MB. A block sums its axis-0 nodes in
-    # runs of matrices under _RUN_ELEMS, with the same bits: huge pages
-    # reused from malloc's heaps made mc-study's peak RSS vary by 25 MB
+    # workspace, one matrix per axis, one for the derivative weights and
+    # at d = 3 a product slab; no two blocks or calls share memory. All
+    # are allocated here, in the calling thread: allocated in the workers
+    # they raised lag-series' peak RSS by 15 MB. A block computes its
+    # axis-0 nodes in runs of matrices under _RUN_ELEMS, with the same
+    # bits: huge pages reused from malloc's heaps made mc-study's peak
+    # RSS vary by 25 MB
     k = min(cols, n)
     blocks = []
     for nodes in np.array_split(axes[0], p):
         runs = np.array_split(nodes, -(-nodes.size // max(1, _RUN_ELEMS // k)))
-        work = [np.empty(a.size * k) for a in [runs[0]] + axes[1:]]
-        if axis is not None:
-            work.append(np.empty(work[axis].size))
-        blocks.append((runs, work))
+        work = [np.empty(m * k) for m in [runs[0].size] + shape[1:]]
+        weights = None if axis is None else np.empty(work[axis].size)
+        slab = None
+        if len(axes) == 3:
+            step = max(1, _SLAB_ELEMS // (shape[1] * k))
+            slab = np.empty(min(step, runs[0].size) * shape[1] * k)
+        blocks.append((runs, work, weights, slab))
 
     def block_sum(block):
-        runs, work = block
         # past the float range a log kernel runs to -inf, a kernel of 0,
         # and the terms to inf or nan, which only a non-finite total
         # shows; numpy's error state does not carry into pool threads
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return np.concatenate([_sum_terms(data, [r] + axes[1:], b, axis,
-                                              cols, work) for r in runs])
+            return _sum_terms(data, axes, b, axis, cols, block)
 
     values = np.concatenate(_thread_map(block_sum, blocks)) / n
     bad = np.count_nonzero(~np.isfinite(values))
@@ -220,42 +232,74 @@ def _field(data, axes, b, axis=None):
     return values
 
 
-def _sum_terms(data, axes, b, axis, cols, work):
-    """Sum the per-observation terms over the rows of ``data``.
+def _sum_terms(data, axes, b, axis, cols, block):
+    """Sum the per-observation terms over the rows of ``data``, at the
+    axis-0 nodes of ``block`` and every node of the axes >= 1.
 
     Rows are split as numpy's pairwise sum splits a row, so for d = 1
     every split is one that ``sum`` over all rows would make itself.
+    Each chunk of rows builds each axis's kernel matrix once.
     """
     n = data.shape[0]
     if n > cols:
         half = n // 2
         half -= half % 8
-        return (_sum_terms(data[:half], axes, b, axis, cols, work)
-                + _sum_terms(data[half:], axes, b, axis, cols, work))
-    mats = []
-    for j, nodes in enumerate(axes):
-        col = data[:, j]
-        mat = work[j][: nodes.size * n].reshape(nodes.size, n)
-        log_kernel_eval(col[None, :], nodes[:, None], b[j], out=mat)
-        np.exp(mat, out=mat)
-        if j == axis:
-            c = work[-1][: mat.size].reshape(mat.shape)
-            pos = col > 0.0
-            l_term(np.where(pos, col, 1.0)[None, :], nodes[:, None], b[j],
-                   out=c)
-            c *= grad_prefactor(nodes, b[j])[:, None]
-            # c K = 0 where the observation or the node is 0
-            c[:, ~pos] = 0.0
-            c[nodes == 0.0] = 0.0
-            mat *= c
-        mats.append(mat)
-    if len(mats) == 1:
-        return mats[0].sum(axis=1)
-    # einsum without BLAS: the summation order, and so every output byte,
-    # does not depend on the thread count
-    letters = "abcdefghijklmnopqrstuvwxy"[: len(mats)]
-    spec = ",".join(a + "z" for a in letters) + "->" + letters
-    return np.einsum(spec, *mats)
+        return (_sum_terms(data[:half], axes, b, axis, cols, block)
+                + _sum_terms(data[half:], axes, b, axis, cols, block))
+    runs, work, weights, slab = block
+    mats = [_kernel_matrix(data[:, j], axes[j], b[j], work[j],
+                           weights if j == axis else None)
+            for j in range(1, len(axes))]
+    return np.concatenate([
+        _contract(_kernel_matrix(data[:, 0], r, b[0], work[0],
+                                 weights if axis == 0 else None), mats, slab)
+        for r in runs])
+
+
+def _kernel_matrix(col, nodes, bj, work, weights=None):
+    """The (node x row) kernel matrix of one axis, written into ``work``,
+    times the derivative weights c_i, written into ``weights``, if given."""
+    mat = work[: nodes.size * col.size].reshape(nodes.size, col.size)
+    log_kernel_eval(col[None, :], nodes[:, None], bj, out=mat)
+    np.exp(mat, out=mat)
+    if weights is not None:
+        c = weights[: mat.size].reshape(mat.shape)
+        pos = col > 0.0
+        l_term(np.where(pos, col, 1.0)[None, :], nodes[:, None], bj, out=c)
+        c *= grad_prefactor(nodes, bj)[:, None]
+        # c K = 0 where the observation or the node is 0
+        c[:, ~pos] = 0.0
+        c[nodes == 0.0] = 0.0
+        mat *= c
+    return mat
+
+
+def _contract(first, mats, slab):
+    """Sum over the rows the products of the axis-0 matrix ``first`` and
+    the matrices ``mats`` of the axes >= 1, at every node.
+
+    einsum without BLAS: the summation order, and so every output byte,
+    does not depend on the thread count. d = 3 is summed in two steps, a
+    slab of axis-0 nodes at a time: P = A[slab] * B over the rows, written
+    into ``slab``, then one two-operand einsum of P and C. Each value is
+    then one dot over the rows, whatever the slab size.
+    """
+    if not mats:
+        return first.sum(axis=1)
+    if len(mats) != 2:
+        letters = "abcdefghijklmnopqrstuvwxy"[: len(mats) + 1]
+        spec = ",".join(a + "z" for a in letters) + "->" + letters
+        return np.einsum(spec, first, *mats)
+    (mb, k), mc = mats[0].shape, mats[1].shape[0]
+    out = np.empty((first.shape[0], mb, mc))
+    step = slab.size // (mb * k)
+    for lo in range(0, first.shape[0], step):
+        part = out[lo: lo + step]
+        prod = slab[: part.size // mc * k].reshape(-1, mb, k)
+        np.multiply(first[lo: lo + step, None, :], mats[0], out=prod)
+        np.einsum("pz,cz->pc", prod.reshape(-1, k), mats[1],
+                  out=part.reshape(-1, mc))
+    return out
 
 
 def density_at(sample, x, b):

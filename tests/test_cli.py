@@ -278,7 +278,8 @@ def test_bad_input_is_usage_error(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("key", ["shape-overflow", "field-too-large"])
 def test_bad_input_with_node_blocks(tmp_path, capsys, monkeypatch, key):
-    # the error is raised in a worker thread of the split field
+    # raised in a worker thread of the split 1-d field, and on the
+    # calling thread of the 3-d one, which is not split
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
     err = _assert_usage_error(tmp_path, capsys, key)

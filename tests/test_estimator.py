@@ -411,7 +411,8 @@ class TestChunkedEngine:
 
 
 class TestNodeBlocks:
-    """Fields cut into blocks of axis-0 nodes, one thread per block."""
+    """1-d fields cut into blocks of nodes, one thread per block; fields
+    of d >= 2 stay on the calling thread."""
 
     @pytest.mark.parametrize("chunk", [None, 1], ids=["default", "smallest"])
     @pytest.mark.parametrize("m0", [1, 2, 3, 7])
@@ -438,15 +439,16 @@ class TestNodeBlocks:
             pool_sizes.clear()
             got = field_on_grid(data, axes, b, kind=kind, axis=axis).values
             assert got.tobytes() == want.tobytes()
-            assert pool_sizes == ([min(cpus, m0)] if m0 > 1 else [])
+            assert pool_sizes == ([min(cpus, m0)] if d == 1 and m0 > 1
+                                  else [])
 
     def test_blocks_under_frequent_switches(self, monkeypatch):
         # 8 blocks on more threads than cores, switching every microsecond,
         # each writing its own workspace chunk after chunk; a workspace
         # shared between blocks would mix the nodes
-        data = _sample(2, n=4097, seed=3)
+        data = _sample(1, n=4097, seed=3)
         data[::5] = 0.0
-        axes = [np.linspace(0.0, 6.0, 40), np.linspace(0.0, 6.0, 9)]
+        axes = [np.linspace(0.0, 6.0, 40)]
         monkeypatch.setattr(estimator, "_CHUNK_ELEMS", 1)
         _force_blocks(monkeypatch, 1)
         want = field_on_grid(data, axes, 0.2, kind="derivative", axis=0)
@@ -483,7 +485,7 @@ class TestNodeBlocks:
         got = field_on_grid(data, axes, 0.2, kind=kind, axis=axis).values
         assert got.tobytes() == want.tobytes()
         # the runs of a block stay on its thread
-        assert pool_sizes == ([cpus] if cpus > 1 else [])
+        assert pool_sizes == ([cpus] if d == 1 and cpus > 1 else [])
 
     def test_axis0_matrices_stay_under_huge_page_size(self, monkeypatch):
         # the largest Monte Carlo field: 200 nodes by 4000 observations,
@@ -502,13 +504,110 @@ class TestNodeBlocks:
                         0.2, kind="derivative", axis=0).result()
         assert max(sizes) == 100 * 4000 < 1 << 19
 
+    @pytest.mark.parametrize("chunk", [None, 1], ids=["default", "smallest"])
+    @pytest.mark.parametrize("d,axis", [
+        (2, None), (2, 0), (2, 1), (3, None), (3, 0), (3, 2),
+    ])
+    def test_each_axis_evaluated_once_per_chunk(self, monkeypatch,
+                                                pool_sizes, d, axis, chunk):
+        # n * sum_j m_j kernel values per field, and the weights along
+        # the derivative axis only, whatever the chunk count; the field
+        # stays on this thread with four usable CPUs
+        n = 1500
+        data = _sample(d, n=n, seed=d)
+        data[::5, d - 1] = 0.0
+        axes = [np.linspace(0.0, 4.0, 7)] + [np.linspace(0.0, 4.0, 6 - j)
+                                             for j in range(1, d)]
+        evaluated = {"log_kernel_eval": 0, "l_term": 0}
+
+        def counting(name):
+            original = getattr(estimator, name)
+
+            def count(t, x, *args, **kwargs):
+                evaluated[name] += np.broadcast(t, x).size
+                return original(t, x, *args, **kwargs)
+            return count
+
+        for name in evaluated:
+            monkeypatch.setattr(estimator, name, counting(name))
+        if chunk is not None:
+            monkeypatch.setattr(estimator, "_CHUNK_ELEMS", chunk)
+        _force_blocks(monkeypatch, 4)
+        kind = "density" if axis is None else "derivative"
+        field_on_grid(data, axes, 0.2, kind=kind, axis=axis)
+        assert evaluated["log_kernel_eval"] == n * sum(a.size for a in axes)
+        assert evaluated["l_term"] == (0 if axis is None
+                                       else n * axes[axis].size)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("chunk", [None, 1], ids=["default", "smallest"])
+    @pytest.mark.parametrize("axis", [None, 0, 2])
+    def test_slab_bytes_equal_one_node_slab(self, monkeypatch, pool_sizes,
+                                            axis, chunk):
+        # d = 3 sums each node as one dot over the rows, so a slab of one
+        # axis-0 node and a slab of all of them give the same bytes, with
+        # any number of usable CPUs
+        data = _sample(3, n=1500, seed=5)
+        data[::7, 0] = 0.0
+        data[::5, 2] = 0.0
+        axes = [np.linspace(0.0, 4.0, 7), np.linspace(0.0, 4.0, 5),
+                np.linspace(0.0, 4.0, 4)]
+        b = np.array([0.15, 0.2, 0.25])
+        kind = "density" if axis is None else "derivative"
+        if chunk is not None:
+            monkeypatch.setattr(estimator, "_CHUNK_ELEMS", chunk)
+        _force_blocks(monkeypatch, 1)
+        monkeypatch.setattr(estimator, "_SLAB_ELEMS", 1)
+        want = field_on_grid(data, axes, b, kind=kind, axis=axis).values
+        for cpus in (1, 2, 3, 4):
+            _force_blocks(monkeypatch, cpus)
+            for slab in (1, 1 << 40):
+                monkeypatch.setattr(estimator, "_SLAB_ELEMS", slab)
+                pool_sizes.clear()
+                got = field_on_grid(data, axes, b, kind=kind,
+                                    axis=axis).values
+                assert got.tobytes() == want.tobytes()
+                assert pool_sizes == []
+
+    def test_product_slab_stays_under_huge_page_size(self, monkeypatch):
+        # the 25^3 lag-series grid over 3000 rows: the product of all
+        # axis-0 nodes with the axis-1 matrix would take 15 MB
+        data = _sample(3, n=3000)
+        axes = [np.linspace(0.2, 8.0, 25)] * 3
+        assert 25 * 25 * 3000 > estimator._RUN_ELEMS
+        sizes = []
+        empty = np.empty
+
+        def recording_empty(shape, *args, **kwargs):
+            sizes.append(int(np.prod(shape)))
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recording_empty)
+        _force_blocks(monkeypatch, 2)
+        field_on_grid(data, axes, 0.4, kind="derivative", axis=0)
+        assert max(sizes) == 25 * 3000 <= estimator._RUN_ELEMS
+
+    def test_multivariate_non_finite_field_raises_without_warning(
+            self, monkeypatch, pool_sizes):
+        # as the 1-d field on node blocks below, on the calling thread
+        _force_blocks(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="not finite at 4 of 4 nodes"):
+                field_on_grid([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]],
+                              [np.array([1e6, 2e6])] * 2, 1e-300)
+        assert pool_sizes == []
+
     def test_small_fields_stay_serial(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(estimator, "_usable_cpus", lambda: 4)
-        # 1500 x 7 x 5 kernel values, below the 2^20 threshold
+        # 1500 x 35 kernel values, below the 2^20 threshold
         data = _sample(2, n=1500)
-        field_on_grid(data, [np.linspace(0.0, 4.0, 7),
-                             np.linspace(0.0, 4.0, 5)], 0.2)
+        field_on_grid(data[:, :1], [np.linspace(0.0, 4.0, 35)], 0.2)
         assert pool_sizes == []
+        field_on_grid(data[:, :1], [np.linspace(0.0, 4.0, 700)], 0.2)
+        assert pool_sizes == [4]
+        # above it, but d = 2
         field_on_grid(data, [np.linspace(0.0, 4.0, 700),
                              np.linspace(0.0, 4.0, 5)], 0.2)
         assert pool_sizes == [4]
@@ -516,8 +615,8 @@ class TestNodeBlocks:
     def test_fields_off_the_main_thread_stay_serial(self, monkeypatch,
                                                     pool_sizes):
         _force_blocks(monkeypatch, 4)
-        data = _sample(2, n=300)
-        axes = [np.linspace(0.0, 4.0, 7), np.linspace(0.0, 4.0, 5)]
+        data = _sample(1, n=300)
+        axes = [np.linspace(0.0, 4.0, 7)]
         with ThreadPoolExecutor(max_workers=1) as pool:
             got = pool.submit(field_on_grid, data, axes, 0.2).result()
         assert pool_sizes == []

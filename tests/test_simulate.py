@@ -214,13 +214,13 @@ class TestMcMise:
     def test_node_blocks_at_one_worker_keep_the_bytes(self, monkeypatch,
                                                       pool_sizes, tmp_path):
         # at one worker the replicates run on the main thread, where every
-        # field is cut into 2 node blocks; at 2 workers none is
+        # 1-d field is cut into 2 node blocks; at 2 workers none is
         monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
         written = []
         for workers in (1, 2):
             res = mc_mise(self._config(
-                process=AR_SPEC, n_grid=[60, 80, 120], replicates=3, tau=2,
+                process=AR_SPEC, n_grid=[60, 80, 120], replicates=3, tau=0,
                 bandwidth=0.3, workers=workers))
             rate_fit(res)
             export_result(res, tmp_path / "out.csv")
