@@ -532,6 +532,8 @@ class TestNodeBlocks:
             monkeypatch.setattr(estimator, name, counting(name))
         if chunk is not None:
             monkeypatch.setattr(estimator, "_CHUNK_ELEMS", chunk)
+        # runs of at most 2 axis-0 nodes
+        monkeypatch.setattr(estimator, "_RUN_ELEMS", 256)
         _force_blocks(monkeypatch, 4)
         kind = "density" if axis is None else "derivative"
         field_on_grid(data, axes, 0.2, kind=kind, axis=axis)
