@@ -25,8 +25,8 @@ total is divided by n once. Memory is O(cols * sum_j m_j) for the
 workspaces plus one partial field of prod_j m_j values per level of the
 split, log2(n / cols) levels. For d = 1 each chunk is a subtree of the
 pairwise sum over all n terms, so the estimate is bitwise the one-pass
-``mean``. d = 3 is summed in two steps, a slab of axis-0 nodes at a
-time: the elementwise P = A * B over the chunk's rows, then one
+``mean``. d = 3 is summed in two steps, one axis-0 node i at a time:
+the elementwise P = A[i] * B over the chunk's rows, then one
 two-operand ``einsum`` of P with C, so each value is one dot over the
 rows. d = 2 and d >= 4 take one ``einsum`` of all the matrices, bitwise
 the one-pass ``einsum`` while n <= cols; d = 3 is not, even then. Every
@@ -42,7 +42,8 @@ workspace. The block results are concatenated and divided by n once.
 unchanged: the bytes are those of p = 1 for any CPU count. A field of
 d >= 2 stays on the calling thread, so the matrices of the axes >= 1 are
 built once per chunk: on a 2-vCPU host, node blocks that shared them
-between threads took more CPU and more wall time than one thread. A
+between threads took more CPU and more wall time than one thread
+(a host whose cores run the threads at once is not yet measured). A
 field computed on any other thread, as in the Monte Carlo pool, stays
 on that thread too.
 """
@@ -83,9 +84,6 @@ _PAIRWISE_BLOCK = 128
 _SPLIT_ELEMS = 1 << 20
 # floats under 4 MiB, from which numpy asks for transparent huge pages
 _RUN_ELEMS = (1 << 19) - 1
-# floats in the product of a slab of axis-0 nodes with the axis-1 matrix
-# at d = 3 (1 MiB), or more where one node's product is larger
-_SLAB_ELEMS = 1 << 17
 
 
 @dataclass
@@ -198,23 +196,20 @@ def _field(data, axes, b, axis=None):
         p = _workers(shape[0])
     # every chunk of a block writes its kernel matrices into the block's
     # workspace, one matrix per axis, one for the derivative weights and
-    # at d = 3 a product slab; no two blocks or calls share memory. All
-    # are allocated here, in the calling thread: allocated in the workers
-    # they raised lag-series' peak RSS by 15 MB. A block computes its
-    # axis-0 nodes in runs of matrices under _RUN_ELEMS, with the same
-    # bits: huge pages reused from malloc's heaps made mc-study's peak
-    # RSS vary by 25 MB
+    # at d = 3 one axis-0 node's product with the axis-1 matrix; no two
+    # blocks or calls share memory. All are allocated here, in the
+    # calling thread: allocated in the workers they raised lag-series'
+    # peak RSS by 15 MB. A block computes its axis-0 nodes in runs of
+    # matrices under _RUN_ELEMS, with the same bits: huge pages reused
+    # from malloc's heaps made mc-study's peak RSS vary by 25 MB
     k = min(cols, n)
     blocks = []
     for nodes in np.array_split(axes[0], p):
         runs = np.array_split(nodes, -(-nodes.size // max(1, _RUN_ELEMS // k)))
         work = [np.empty(m * k) for m in [runs[0].size] + shape[1:]]
         weights = None if axis is None else np.empty(work[axis].size)
-        slab = None
-        if len(axes) == 3:
-            step = max(1, _SLAB_ELEMS // (shape[1] * k))
-            slab = np.empty(min(step, runs[0].size) * shape[1] * k)
-        blocks.append((runs, work, weights, slab))
+        prod = np.empty(shape[1] * k) if len(axes) == 3 else None
+        blocks.append((runs, work, weights, prod))
 
     def block_sum(block):
         # past the float range a log kernel runs to -inf, a kernel of 0,
@@ -246,13 +241,13 @@ def _sum_terms(data, axes, b, axis, cols, block):
         half -= half % 8
         return (_sum_terms(data[:half], axes, b, axis, cols, block)
                 + _sum_terms(data[half:], axes, b, axis, cols, block))
-    runs, work, weights, slab = block
+    runs, work, weights, prod = block
     mats = [_kernel_matrix(data[:, j], axes[j], b[j], work[j],
                            weights if j == axis else None)
             for j in range(1, len(axes))]
     return np.concatenate([
         _contract(_kernel_matrix(data[:, 0], r, b[0], work[0],
-                                 weights if axis == 0 else None), mats, slab)
+                                 weights if axis == 0 else None), mats, prod)
         for r in runs])
 
 
@@ -274,15 +269,15 @@ def _kernel_matrix(col, nodes, bj, work, weights=None):
     return mat
 
 
-def _contract(first, mats, slab):
+def _contract(first, mats, prod):
     """Sum over the rows the products of the axis-0 matrix ``first`` and
     the matrices ``mats`` of the axes >= 1, at every node.
 
     einsum without BLAS: the summation order, and so every output byte,
-    does not depend on the thread count. d = 3 is summed in two steps, a
-    slab of axis-0 nodes at a time: P = A[slab] * B over the rows, written
-    into ``slab``, then one two-operand einsum of P and C. Each value is
-    then one dot over the rows, whatever the slab size.
+    does not depend on the thread count. d = 3 is summed in two steps,
+    one axis-0 node i at a time: P = A[i] * B over the rows, written into
+    ``prod``, then one two-operand einsum of P and C. Each value is then
+    one dot over the rows.
     """
     if not mats:
         return first.sum(axis=1)
@@ -292,13 +287,10 @@ def _contract(first, mats, slab):
         return np.einsum(spec, first, *mats)
     (mb, k), mc = mats[0].shape, mats[1].shape[0]
     out = np.empty((first.shape[0], mb, mc))
-    step = slab.size // (mb * k)
-    for lo in range(0, first.shape[0], step):
-        part = out[lo: lo + step]
-        prod = slab[: part.size // mc * k].reshape(-1, mb, k)
-        np.multiply(first[lo: lo + step, None, :], mats[0], out=prod)
-        np.einsum("pz,cz->pc", prod.reshape(-1, k), mats[1],
-                  out=part.reshape(-1, mc))
+    p = prod[: mb * k].reshape(mb, k)
+    for row, part in zip(first, out):
+        np.multiply(row, mats[0], out=p)
+        np.einsum("pz,cz->pc", p, mats[1], out=part)
     return out
 
 

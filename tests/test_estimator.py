@@ -542,38 +542,10 @@ class TestNodeBlocks:
                                        else n * axes[axis].size)
         assert pool_sizes == []
 
-    @pytest.mark.parametrize("chunk", [None, 1], ids=["default", "smallest"])
-    @pytest.mark.parametrize("axis", [None, 0, 2])
-    def test_slab_bytes_equal_one_node_slab(self, monkeypatch, pool_sizes,
-                                            axis, chunk):
-        # d = 3 sums each node as one dot over the rows, so a slab of one
-        # axis-0 node and a slab of all of them give the same bytes, with
-        # any number of usable CPUs
-        data = _sample(3, n=1500, seed=5)
-        data[::7, 0] = 0.0
-        data[::5, 2] = 0.0
-        axes = [np.linspace(0.0, 4.0, 7), np.linspace(0.0, 4.0, 5),
-                np.linspace(0.0, 4.0, 4)]
-        b = np.array([0.15, 0.2, 0.25])
-        kind = "density" if axis is None else "derivative"
-        if chunk is not None:
-            monkeypatch.setattr(estimator, "_CHUNK_ELEMS", chunk)
-        _force_blocks(monkeypatch, 1)
-        monkeypatch.setattr(estimator, "_SLAB_ELEMS", 1)
-        want = field_on_grid(data, axes, b, kind=kind, axis=axis).values
-        for cpus in (1, 2, 3, 4):
-            _force_blocks(monkeypatch, cpus)
-            for slab in (1, 1 << 40):
-                monkeypatch.setattr(estimator, "_SLAB_ELEMS", slab)
-                pool_sizes.clear()
-                got = field_on_grid(data, axes, b, kind=kind,
-                                    axis=axis).values
-                assert got.tobytes() == want.tobytes()
-                assert pool_sizes == []
-
     def test_product_slab_stays_under_huge_page_size(self, monkeypatch):
         # the 25^3 lag-series grid over 3000 rows: the product of all
-        # axis-0 nodes with the axis-1 matrix would take 15 MB
+        # axis-0 nodes with the axis-1 matrix would take 15 MB, that of
+        # one node 600 kB
         data = _sample(3, n=3000)
         axes = [np.linspace(0.2, 8.0, 25)] * 3
         assert 25 * 25 * 3000 > estimator._RUN_ELEMS
