@@ -33,19 +33,22 @@ the one-pass ``einsum`` while n <= cols; d = 3 is not, even then. Every
 d >= 2 stays deterministic and differs from the one-pass sum only in
 the last bits.
 
-Every grid node is independent work. A 1-d field of at least 2^20
-kernel values (n * m_0) computed on the main thread is cut into
-p = min(usable CPUs, m_0) contiguous blocks of its nodes, and each block
-runs the sum above over the whole sample on its own thread, in its own
-workspace. The block results are concatenated and divided by n once.
-``cols`` comes from the full grid, so each node's summation tree is
-unchanged: the bytes are those of p = 1 for any CPU count. A field of
-d >= 2 stays on the calling thread, so the matrices of the axes >= 1 are
-built once per chunk: on a 2-vCPU host, node blocks that shared them
-between threads took more CPU and more wall time than one thread
-(a host whose cores run the threads at once is not yet measured). A
-field computed on any other thread, as in the Monte Carlo pool, stays
-on that thread too.
+Every grid node is independent work. The node blocks here and the rule
+slabs of ``bandwidth`` share one gate, ``_workers``: work of at least
+2^20 values (``_SPLIT_ELEMS``) on the main thread runs on
+min(usable CPUs, tasks) threads, and any other on the calling thread.
+So a 1-d field of at least 2^20 kernel values (n * m_0) computed on the
+main thread is cut into p = min(usable CPUs, m_0) contiguous blocks of
+its nodes, and each block runs the sum above over the whole sample on
+its own thread, in its own workspace. The block results are
+concatenated and divided by n once. ``cols`` comes from the full grid,
+so each node's summation tree is unchanged: the bytes are those of
+p = 1 for any CPU count. A field of d >= 2 stays on the calling thread,
+so the matrices of the axes >= 1 are built once per chunk: on a 2-vCPU
+host, node blocks that shared them between threads took more CPU and
+more wall time than one thread (a host whose cores run the threads at
+once is not yet measured). A field computed on any other thread, as in
+the Monte Carlo pool, stays on that thread too.
 """
 
 import itertools
@@ -79,8 +82,9 @@ _CHUNK_ELEMS = 1 << 20
 # numpy sums a block of up to 128 terms in one pass, without splitting it,
 # so no chunk is made smaller (and under 16 rows half would round to 0)
 _PAIRWISE_BLOCK = 128
-# kernel values (n times the node count) from which a 1-d field is worth
-# splitting into node blocks on several threads
+# values from which work is split over several threads: the kernel
+# values of a 1-d field (n times the node count), or the nodes of a
+# rule grid
 _SPLIT_ELEMS = 1 << 20
 # floats under 4 MiB, from which numpy asks for transparent huge pages
 _RUN_ELEMS = (1 << 19) - 1
@@ -162,21 +166,21 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _workers(tasks):
-    """Threads for ``tasks`` independent pieces of work: min(usable CPUs,
-    tasks) on the main thread, and 1 on any other, which is already one
-    of several workers (as in the Monte Carlo pool)."""
-    if threading.current_thread() is not threading.main_thread():
+def _workers(tasks, elems):
+    """Threads for ``tasks`` independent pieces of work on ``elems``
+    values in all: 1 below ``_SPLIT_ELEMS`` values, and 1 on any thread
+    but the main one, which is already one of several workers (as in
+    the Monte Carlo pool); otherwise min(usable CPUs, tasks)."""
+    if (elems < _SPLIT_ELEMS
+            or threading.current_thread() is not threading.main_thread()):
         return 1
     return min(_usable_cpus(), tasks)
 
 
-def _thread_map(fn, tasks, workers=None):
-    """``[fn(t) for t in tasks]`` on ``workers`` threads, by default
-    ``_workers(len(tasks))``. The first exception, in task order, is
-    raised, and the tasks not yet started are dropped.
+def _thread_map(fn, tasks, p):
+    """``[fn(t) for t in tasks]`` on ``p`` threads. The first exception,
+    in task order, is raised, and the tasks not yet started are dropped.
     """
-    p = _workers(len(tasks)) if workers is None else workers
     if p <= 1:
         return [fn(t) for t in tasks]
     pool = ThreadPoolExecutor(max_workers=p)
@@ -191,9 +195,7 @@ def _field(data, axes, b, axis=None):
     n = data.shape[0]
     shape = [a.size for a in axes]
     cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(shape))
-    p = 1
-    if len(axes) == 1 and n * shape[0] >= _SPLIT_ELEMS:
-        p = _workers(shape[0])
+    p = _workers(shape[0], n * shape[0]) if len(axes) == 1 else 1
     # every chunk of a block writes its kernel matrices into the block's
     # workspace, one matrix per axis, one for the derivative weights and
     # at d = 3 one axis-0 node's product with the axis-1 matrix; no two
@@ -218,7 +220,7 @@ def _field(data, axes, b, axis=None):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _sum_terms(data, axes, b, axis, cols, block)
 
-    values = np.concatenate(_thread_map(block_sum, blocks)) / n
+    values = np.concatenate(_thread_map(block_sum, blocks, p)) / n
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise ValueError(f"the estimate is not finite at {bad} of "

@@ -11,7 +11,10 @@ Experiments are deterministic: replicate streams are counter-based
 (Philox) and derived from the experiment seed, so results are
 bit-identical for any worker count. Replicates run on the pool helper
 of the node blocks and rule slabs, ``estimator._thread_map``: on
-``workers`` threads, or on the calling thread at one worker.
+``workers`` threads, or on the calling thread at one worker. They do
+not pass the size gate the node blocks and rule slabs share
+(``estimator._workers``); a field or rule inside a replicate worker
+stays on that worker.
 """
 
 from dataclasses import dataclass, field

@@ -267,6 +267,7 @@ def test_slab_threads_do_not_change_bits(monkeypatch, pool_sizes, d):
     # slabs of 1 row, and of 6 rows with a short last one, on 1 to 3
     # threads: the density, derivative and mixing integrals keep their bits
     monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41, 3: 41})
+    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
     m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
     mp = MixingProfile(upsilon=0.5, alpha_integral=2.0)
     got = set()
@@ -286,6 +287,7 @@ def test_slab_threads_do_not_change_bits(monkeypatch, pool_sizes, d):
 
 def test_rule_off_the_main_thread_stays_serial(monkeypatch, pool_sizes):
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
     monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41})
     monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41)
     m = product_gamma([3.0, 3.0])
@@ -299,6 +301,41 @@ def test_rule_off_the_main_thread_stays_serial(monkeypatch, pool_sizes):
     assert not worker.is_alive()
     assert got == [want]
     assert pool_sizes == [3]
+
+
+def test_d2_rule_grid_stays_on_the_calling_thread(monkeypatch, pool_sizes):
+    # the 801^2 grid holds 641,601 nodes, below the 2^20 gate
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
+    density_bandwidth(product_gamma([3.0, 3.0]), 1000)
+    assert pool_sizes == []
+
+
+def test_d3_rule_grid_past_the_gate_keeps_its_bits(monkeypatch, pool_sizes):
+    # 102^3 = 1,061,208 nodes, past the 2^20 gate
+    monkeypatch.setattr(bandwidth, "_RULE_NODES", {3: 102})
+    m = product_gamma([3.0, 4.5, 3.5], [1.0, 0.5, 1.5])
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 1)
+    want = density_bandwidth(m, 1000).C
+    assert pool_sizes == []
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    got = density_bandwidth(m, 1000).C
+    assert pool_sizes == [2]
+    assert got.hex() == want.hex()
+
+
+def test_rule_gate_opens_at_its_size(monkeypatch, pool_sizes):
+    # a 41^2 grid in slabs of 6 rows opens a pool at a gate of exactly
+    # its node count, and none one node above it
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41})
+    monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41)
+    m = product_gamma([3.0, 3.0])
+    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 41 * 41)
+    density_bandwidth(m, 1000)
+    assert pool_sizes == [2]
+    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 41 * 41 + 1)
+    density_bandwidth(m, 1000)
+    assert pool_sizes == [2]
 
 
 @pytest.mark.parametrize("n", [0, -5])

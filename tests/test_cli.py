@@ -292,6 +292,7 @@ def test_bad_input_with_slab_threads(tmp_path, capsys, monkeypatch, key):
     # every rule grid cut into slabs of 6 rows, the last one short, on 3
     # threads
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
     monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6)
     err = _assert_usage_error(tmp_path, capsys, key)
     assert err.count("error:") == 1
@@ -349,6 +350,7 @@ class TestBandwidth:
         # the 4001-node grids in 5 slabs, the last of 1 row, and the
         # 801^2 grids in 1-row slabs, on 3 threads
         monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
         monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 1000)
         self.test_rule_output_golden(capsys)
 
