@@ -26,8 +26,8 @@ def _parse_marginal(spec):
         if kind == "exp":
             return GammaMarginal(1.0, 1.0 / float(arg or 1.0))
         if kind == "gamma":
-            parts = [float(p) for p in arg.split(",")]
-            return GammaMarginal(parts[0], parts[1] if len(parts) > 1 else 1.0)
+            shape, sep, scale = arg.partition(",")
+            return GammaMarginal(float(shape), float(scale) if sep else 1.0)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(
             f"bad marginal spec '{spec}': {exc}") from exc
@@ -247,7 +247,7 @@ def main(argv=None):
     p_sim.add_argument("--tau", type=_int_at_least(0), default=0)
     p_sim.add_argument("--n-grid", type=_int_list, required=True,
                        help="comma-separated increasing sample sizes")
-    p_sim.add_argument("--replicates", type=int, default=50)
+    p_sim.add_argument("--replicates", type=_int_at_least(2), default=50)
     p_sim.add_argument("--phi", type=float, default=0.0)
     p_sim.add_argument("--marginal", type=_parse_marginal, default="exp:1.0",
                        help="exp:RATE | gamma:SHAPE,SCALE")

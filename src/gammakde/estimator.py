@@ -25,13 +25,13 @@ total is divided by n once. Memory is O(cols * sum_j m_j) for the
 workspaces plus one partial field of prod_j m_j values per level of the
 split, log2(n / cols) levels. For d = 1 each chunk is a subtree of the
 pairwise sum over all n terms, so the estimate is bitwise the one-pass
-``mean``. d = 3 is summed in two steps, one axis-0 node i at a time:
-the elementwise P = A[i] * B over the chunk's rows, then one
-two-operand ``einsum`` of P with C, so each value is one dot over the
-rows. d = 2 and d >= 4 take one ``einsum`` of all the matrices, bitwise
-the one-pass ``einsum`` while n <= cols; d = 3 is not, even then. Every
-d >= 2 stays deterministic and differs from the one-pass sum only in
-the last bits.
+``mean``. Every d >= 2 is a chain of two-operand contractions: past
+two axes, one axis-0 node i at a time, the elementwise P = A[i] * B over
+the chunk's rows takes the place of A and B; the last two axes take one
+two-operand ``einsum``, so each value is one dot over the rows. At d = 2
+this is bitwise the one-pass ``einsum`` while n <= cols; at d >= 3 it is
+not, even then. Every d >= 2 stays deterministic and differs from the
+one-pass sum only in the last bits.
 
 Every grid node is independent work. The node blocks here and the rule
 slabs of ``bandwidth`` share one gate, ``_workers``: work of at least
@@ -198,8 +198,8 @@ def _field(data, axes, b, axis=None):
     p = _workers(shape[0], n * shape[0]) if len(axes) == 1 else 1
     # every chunk of a block writes its kernel matrices into the block's
     # workspace, one matrix per axis, one for the derivative weights and
-    # at d = 3 one axis-0 node's product with the axis-1 matrix; no two
-    # blocks or calls share memory. All are allocated here, in the
+    # at d >= 3 one product buffer for each of the axes 1 to d - 2; no
+    # two blocks or calls share memory. All are allocated here, in the
     # calling thread: allocated in the workers they raised lag-series'
     # peak RSS by 15 MB. A block computes its axis-0 nodes in runs of
     # matrices under _RUN_ELEMS, with the same bits: huge pages reused
@@ -210,8 +210,8 @@ def _field(data, axes, b, axis=None):
         runs = np.array_split(nodes, -(-nodes.size // max(1, _RUN_ELEMS // k)))
         work = [np.empty(m * k) for m in [runs[0].size] + shape[1:]]
         weights = None if axis is None else np.empty(work[axis].size)
-        prod = np.empty(shape[1] * k) if len(axes) == 3 else None
-        blocks.append((runs, work, weights, prod))
+        prods = [np.empty(m * k) for m in shape[1:-1]]
+        blocks.append((runs, work, weights, prods))
 
     def block_sum(block):
         # past the float range a log kernel runs to -inf, a kernel of 0,
@@ -243,13 +243,13 @@ def _sum_terms(data, axes, b, axis, cols, block):
         half -= half % 8
         return (_sum_terms(data[:half], axes, b, axis, cols, block)
                 + _sum_terms(data[half:], axes, b, axis, cols, block))
-    runs, work, weights, prod = block
+    runs, work, weights, prods = block
     mats = [_kernel_matrix(data[:, j], axes[j], b[j], work[j],
                            weights if j == axis else None)
             for j in range(1, len(axes))]
     return np.concatenate([
         _contract(_kernel_matrix(data[:, 0], r, b[0], work[0],
-                                 weights if axis == 0 else None), mats, prod)
+                                 weights if axis == 0 else None), mats, prods)
         for r in runs])
 
 
@@ -271,28 +271,28 @@ def _kernel_matrix(col, nodes, bj, work, weights=None):
     return mat
 
 
-def _contract(first, mats, prod):
+def _contract(first, mats, prods, out=None):
     """Sum over the rows the products of the axis-0 matrix ``first`` and
-    the matrices ``mats`` of the axes >= 1, at every node.
+    the matrices ``mats`` of the axes >= 1, at every node; into ``out``,
+    if given.
 
     einsum without BLAS: the summation order, and so every output byte,
-    does not depend on the thread count. d = 3 is summed in two steps,
-    one axis-0 node i at a time: P = A[i] * B over the rows, written into
-    ``prod``, then one two-operand einsum of P and C. Each value is then
-    one dot over the rows.
+    does not depend on the thread count. Past two axes, one axis-0 node
+    i at a time: P = A[i] * B over the rows, written into ``prods[0]``,
+    is the axis-0 matrix of the same sum over the remaining axes. The
+    last two axes take one two-operand einsum, so each value is one dot
+    over the rows.
     """
     if not mats:
         return first.sum(axis=1)
-    if len(mats) != 2:
-        letters = "abcdefghijklmnopqrstuvwxy"[: len(mats) + 1]
-        spec = ",".join(a + "z" for a in letters) + "->" + letters
-        return np.einsum(spec, first, *mats)
-    (mb, k), mc = mats[0].shape, mats[1].shape[0]
-    out = np.empty((first.shape[0], mb, mc))
-    p = prod[: mb * k].reshape(mb, k)
+    if len(mats) == 1:
+        return np.einsum("az,bz->ab", first, mats[0], out=out)
+    if out is None:
+        out = np.empty((first.shape[0],) + tuple(m.shape[0] for m in mats))
+    p = prods[0][: mats[0].size].reshape(mats[0].shape)
     for row, part in zip(first, out):
         np.multiply(row, mats[0], out=p)
-        np.einsum("pz,cz->pc", p, mats[1], out=part)
+        _contract(p, mats[1:], prods[1:], part)
     return out
 
 

@@ -164,6 +164,9 @@ BAD_INPUT = {
     "zero-rate-model": "bandwidth --which density --n 100 --model exp:0",
     "n-grid-decreasing": f"{SIM} --n-grid 100,50",
     "one-replicate": f"{SIM} --n-grid 100,200 --replicates 1",
+    # refused before the bandwidth rule would run
+    "one-replicate-rule": "simulate --output {out} --seed 1 --tau 2 "
+                          "--n-grid 100,200 --replicates 1",
     # flags that would have no effect
     "tau-vs-columns": "estimate --input {pair} --output {out} --b 0.2 "
                       "--tau 3",
@@ -197,6 +200,11 @@ BAD_INPUT = {
     "simulate-exp-nan": f"{SIM} --n-grid 100,200 --marginal exp:nan",
     "bandwidth-gamma-inf": "bandwidth --which density --n 100 "
                            "--model gamma:3,inf",
+    # a value past the scale
+    "bandwidth-gamma-extra": "bandwidth --which density --n 1000 "
+                             "--model gamma:3.0,1.0,7",
+    "simulate-gamma-extra": f"{SIM} --n-grid 100,200 "
+                            "--marginal gamma:3.0,1.0,7",
     # bandwidths that are not finite positive floats
     "simulate-b-nan": "simulate --output {out} --seed 1 --n-grid 100,200 "
                       "--b nan",
@@ -249,10 +257,17 @@ BAD_INPUT_MESSAGE = {
     "simulate-negative-tau": "argument --tau: must be >= 0, got -1",
     "workers-zero": "argument --workers: must be >= 1, got 0",
     "workers-negative": "argument --workers: must be >= 1, got -3",
+    "one-replicate": "argument --replicates: must be >= 2, got 1",
+    "one-replicate-rule": "argument --replicates: must be >= 2, got 1",
     "simulate-gamma-nan": "gamma shape and scale must be finite and positive",
     "simulate-exp-nan": "gamma shape and scale must be finite and positive",
     "bandwidth-gamma-inf": "gamma shape and scale must be finite and "
                            "positive",
+    "bandwidth-gamma-extra": "bad marginal spec 'gamma:3.0,1.0,7': could "
+                             "not convert string to float: '1.0,7'",
+    "simulate-gamma-extra": "argument --marginal: bad marginal spec "
+                            "'gamma:3.0,1.0,7': could not convert string to "
+                            "float: '1.0,7'",
     "field-too-large": "Unable to allocate",
     "simulate-b-nan": "argument --b: must be finite and > 0, got nan",
     "estimate-b-inf": "argument --b: must be finite and > 0, got inf",

@@ -298,7 +298,7 @@ def _one_pass(data, axes, b, axis):
     mats = _one_pass_mats(data, axes, b, axis)
     if len(mats) == 1:
         return mats[0].mean(axis=1), np.abs(mats[0]).mean(axis=1)
-    letters = "abc"[: len(mats)]
+    letters = "abcd"[: len(mats)]
     spec = ",".join(a + "z" for a in letters) + "->" + letters
     n = data.shape[0]
     return (np.einsum(spec, *mats) / n,
@@ -361,8 +361,9 @@ class TestChunkedEngine:
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("kind,d,axis", [
-        ("density", 2, None), ("density", 3, None),
-        ("derivative", 2, 0), ("derivative", 3, 2),
+        ("density", 2, None), ("density", 3, None), ("density", 4, None),
+        ("derivative", 2, 0), ("derivative", 3, 2), ("derivative", 4, 0),
+        ("derivative", 4, 3),
     ])
     def test_multivariate_matches_one_pass(self, monkeypatch, kind, d, axis):
         data = _sample(d, n=1500)
@@ -506,7 +507,8 @@ class TestNodeBlocks:
 
     @pytest.mark.parametrize("chunk", [None, 1], ids=["default", "smallest"])
     @pytest.mark.parametrize("d,axis", [
-        (2, None), (2, 0), (2, 1), (3, None), (3, 0), (3, 2),
+        (2, None), (2, 0), (2, 1), (3, None), (3, 0), (3, 2), (4, None),
+        (4, 3),
     ])
     def test_each_axis_evaluated_once_per_chunk(self, monkeypatch,
                                                 pool_sizes, d, axis, chunk):
