@@ -176,8 +176,19 @@ def run_validate(args):
     return 1 if failed else 0
 
 
-def _int_list(text):
-    return [int(p) for p in text.split(",")]
+def _sample_sizes(text):
+    """argparse type: comma-separated integers >= 1, strictly increasing."""
+    sizes = [int(p) for p in text.split(",")]
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            f"sample sizes must be >= 1, got {text}")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError(
+            f"sample sizes must be strictly increasing, got {text}")
+    return sizes
+
+
+_sample_sizes.__name__ = "int list"  # argparse names it in "invalid"
 
 
 def _int_at_least(low):
@@ -245,7 +256,7 @@ def main(argv=None):
     p_sim.add_argument("--which", choices=["density", "derivative"],
                        default="density")
     p_sim.add_argument("--tau", type=_int_at_least(0), default=0)
-    p_sim.add_argument("--n-grid", type=_int_list, required=True,
+    p_sim.add_argument("--n-grid", type=_sample_sizes, required=True,
                        help="comma-separated increasing sample sizes")
     p_sim.add_argument("--replicates", type=_int_at_least(2), default=50)
     p_sim.add_argument("--phi", type=float, default=0.0)

@@ -9,6 +9,8 @@ All model callables accept points of shape (..., d) and evaluate
 vectorized over the leading axes.
 """
 
+import threading
+
 import numpy as np
 from scipy.special import (
     gammainc,
@@ -39,6 +41,17 @@ _TABLE_RTOL = 2.5e-14
 # value for shape < 1.5; there the upper tail is not small, so from_normal
 # solves z > 0 on gammainc(k, x) = ndtr(z) too
 _X_UPPER_SERIES = 1.1
+# from_normal and gen_series work on blocks of this many values: small
+# enough that malloc reuses the temporaries instead of returning their pages
+# between calls (2^15 still faulted), large enough that pool threads hand
+# over the interpreter lock less often (2^13 cost mc-study 5% more CPU);
+# BENCH_copula-blocks.json
+_BLOCK = 1 << 14
+# the latent-normal tables, built once per shape per process (about 0.3 MB
+# each), kept in insertion order and dropped oldest first past _TABLES_MAX
+_TABLES = {}
+_TABLES_MAX = 8
+_TABLES_LOCK = threading.Lock()
 
 
 def _tail_inverse(k, z):
@@ -84,6 +97,24 @@ def _normal_table(k):
     return z[min(first, z.size - 1)], coef, halley
 
 
+def _shape_table(k):
+    """_normal_table(k), read-only, built once per shape per process.
+
+    The lock is held while a table is built, so threads racing on the
+    first call for a shape build it once.
+    """
+    with _TABLES_LOCK:
+        table = _TABLES.get(k)
+        if table is None:
+            table = _normal_table(k)
+            for a in table[1:]:
+                a.flags.writeable = False
+            if len(_TABLES) >= _TABLES_MAX:
+                del _TABLES[next(iter(_TABLES))]
+            _TABLES[k] = table
+        return table
+
+
 def _halley_step(k, z, x, y):
     """x after one Halley step on e(x) = P(k, x) - Phi(z); y = log x.
 
@@ -99,6 +130,23 @@ def _halley_step(k, z, x, y):
     e[up] = ndtr(-z.take(up)) - gammaincc(k, x.take(up))
     r = e / np.exp(k * y - x - gammaln(k))
     return x * (1.0 - r / (1.0 - 0.5 * r * ((k - 1.0) - x)))
+
+
+def _from_normal_block(k, table, z, x):
+    """Writes Gamma(k, 1)'s x(z) into x, for z of one block."""
+    z_lo, coef, halley = table
+    far = ~((z >= z_lo) & (z < _Z_TABLE))
+    u = (np.where(far, 0.0, z) + _Z_TABLE) * _Z_STEPS
+    i = np.minimum(u.astype(np.intp), coef.shape[0] - 1)
+    t = u - i
+    c = coef.take(i, axis=0)
+    y = ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
+    np.exp(y, out=x)
+    step = np.flatnonzero(halley.take(i) & ~far)
+    if step.size:
+        x[step] = _halley_step(k, z.take(step), x.take(step), y.take(step))
+    if far.any():
+        x[far] = _tail_inverse(k, z[far])
 
 
 class GammaMarginal:
@@ -121,7 +169,6 @@ class GammaMarginal:
                              "positive")
         self.shape = shape
         self.scale = scale
-        self._table = None  # built by the first from_normal call
 
     @np.errstate(all="ignore")
     def pdf(self, x):
@@ -174,35 +221,26 @@ class GammaMarginal:
         solved on the smaller tail, gammainc(k, x) = ndtr(z) for z <= 0
         and gammaincc(k, x) = ndtr(-z) above (at x > 1.1, see
         _X_UPPER_SERIES), within 1e-13 relative for k >= 0.5 and 1e-12
-        below. A cached cubic Hermite table of log x in z, step 1/512,
-        gives x directly on the pieces whose midpoint error is within
-        2.5e-14 (all of them for k from 0.6 to 1e4); on the others (51%
-        of them at k = 0.05, see _normal_table) one Halley step finishes
-        it. For |z| >= 8.5 it is gammaincinv(k, ndtr(z)) or
-        gammainccinv(k, ndtr(-z)) directly.
+        below. A cubic Hermite table of log x in z, step 1/512, built once
+        per shape per process (_shape_table), gives x directly on the
+        pieces whose midpoint error is within 2.5e-14 (all of them for k
+        from 0.6 to 1e4); on the others (51% of them at k = 0.05, see
+        _normal_table) one Halley step finishes it. For |z| >= 8.5 it is
+        gammaincinv(k, ndtr(z)) or gammainccinv(k, ndtr(-z)) directly.
+
+        The values are computed in blocks of _BLOCK into one output array,
+        which is then scaled in place; every step is elementwise, so the
+        result does not depend on the block size.
         """
-        k = self.shape
-        if self._table is None:
-            # racing threads build equal tables; one assignment publishes it
-            self._table = _normal_table(k)
-        z_lo, coef, halley = self._table
+        table = _shape_table(self.shape)
         z = np.asarray(z, dtype=float)
-        out_shape = z.shape
-        z = z.ravel()
-        far = ~((z >= z_lo) & (z < _Z_TABLE))
-        u = (np.where(far, 0.0, z) + _Z_TABLE) * _Z_STEPS
-        i = np.minimum(u.astype(np.intp), coef.shape[0] - 1)
-        t = u - i
-        c = coef.take(i, axis=0)
-        y = ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
-        x = np.exp(y)
-        step = np.flatnonzero(halley.take(i) & ~far)
-        if step.size:
-            x[step] = _halley_step(k, z.take(step), x.take(step),
-                                   y.take(step))
-        if far.any():
-            x[far] = _tail_inverse(k, z[far])
-        return self.scale * x.reshape(out_shape)
+        out = np.empty(z.shape)
+        flat_z, flat_out = z.ravel(), out.reshape(-1)
+        for s in range(0, flat_z.size, _BLOCK):
+            _from_normal_block(self.shape, table, flat_z[s:s + _BLOCK],
+                               flat_out[s:s + _BLOCK])
+        out *= self.scale
+        return out[()]
 
 
 class DensityModel:

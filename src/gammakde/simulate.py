@@ -24,7 +24,7 @@ from scipy.special import ndtri
 
 from . import estimator
 from .bandwidth import BandwidthRule
-from .models import GammaMarginal, from_pdf, product_gamma
+from .models import _BLOCK, GammaMarginal, from_pdf, product_gamma
 from .quadrature import grid_points, tensor_axes, trapezoid_nd
 
 __all__ = [
@@ -114,6 +114,12 @@ def gen_series(spec, m, seed):
 
     Same seed gives bit-identical output; the latent chain starts in its
     stationary N(0, 1) law.
+
+    The series is made in blocks of ``models._BLOCK`` values: each block's
+    normals are drawn from the one Philox stream, filtered with the AR(1)
+    state carried over from the block before, and mapped by
+    ``from_normal`` (whose table is cached per shape) into one output
+    array. The values are those of one pass over all m values.
     """
     if m < 1:
         raise ValueError("series length must be >= 1")
@@ -124,12 +130,18 @@ def gen_series(spec, m, seed):
     from scipy.signal import lfilter
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    eps = rng.standard_normal(m)
     phi = spec.phi
-    w = eps * np.sqrt(1.0 - phi * phi)
-    w[0] = eps[0]
-    z = lfilter([1.0], [1.0, -phi], w)
-    return spec.marginal.from_normal(z)
+    innovation = np.sqrt(1.0 - phi * phi)
+    out = np.empty(m)
+    zi = np.zeros(1)
+    for s in range(0, m, _BLOCK):
+        eps = rng.standard_normal(min(_BLOCK, m - s))
+        w = eps * innovation
+        if s == 0:
+            w[0] = eps[0]
+        z, zi = lfilter([1.0], [1.0, -phi], w, zi=zi)
+        out[s:s + _BLOCK] = spec.marginal.from_normal(z)
+    return out
 
 
 def truth_model(spec, tau):

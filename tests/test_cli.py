@@ -163,6 +163,10 @@ BAD_INPUT = {
     "divergent-rule": "bandwidth --which derivative --n 100 --model exp:1",
     "zero-rate-model": "bandwidth --which density --n 100 --model exp:0",
     "n-grid-decreasing": f"{SIM} --n-grid 100,50",
+    "n-grid-zero": f"{SIM} --n-grid 0,100",
+    # refused before the bandwidth rule would run
+    "n-grid-decreasing-rule": "simulate --output {out} --seed 1 --tau 2 "
+                              "--n-grid 100,50",
     "one-replicate": f"{SIM} --n-grid 100,200 --replicates 1",
     # refused before the bandwidth rule would run
     "one-replicate-rule": "simulate --output {out} --seed 1 --tau 2 "
@@ -246,9 +250,10 @@ BAD_INPUT = {
                                "--b 1e-300 --marginal gamma:0.05,1e-300",
 }
 
-# integer lower bounds, bandwidths and marginal parameters are checked while the
-# arguments are parsed, so the error names the flag or the parameter rule,
-# not whatever a rule, an integral or a reshape raises later
+# integer lower bounds, sample-size grids, bandwidths and marginal
+# parameters are checked while the arguments are parsed, so the error names
+# the flag or the parameter rule, not whatever a rule, an integral or a
+# reshape raises later
 BAD_INPUT_MESSAGE = {
     "n-zero": "argument --n: must be >= 1, got 0",
     "n-negative": "argument --n: must be >= 1, got -5",
@@ -258,6 +263,11 @@ BAD_INPUT_MESSAGE = {
     "workers-zero": "argument --workers: must be >= 1, got 0",
     "workers-negative": "argument --workers: must be >= 1, got -3",
     "one-replicate": "argument --replicates: must be >= 2, got 1",
+    "n-grid-decreasing": "argument --n-grid: sample sizes must be strictly "
+                         "increasing, got 100,50",
+    "n-grid-decreasing-rule": "argument --n-grid: sample sizes must be "
+                              "strictly increasing, got 100,50",
+    "n-grid-zero": "argument --n-grid: sample sizes must be >= 1, got 0,100",
     "one-replicate-rule": "argument --replicates: must be >= 2, got 1",
     "simulate-gamma-nan": "gamma shape and scale must be finite and positive",
     "simulate-exp-nan": "gamma shape and scale must be finite and positive",

@@ -8,12 +8,17 @@ import pytest
 from scipy.special import gammainccinv, gammaincinv, ndtr
 from scipy.stats import expon, gamma as gamma_dist
 
+from gammakde import models
 from gammakde.models import (
+    _BLOCK,
+    _TABLES_MAX,
     _Z_STEPS,
     _Z_TABLE,
     DensityModel,
     GammaMarginal,
+    _from_normal_block,
     _normal_table,
+    _shape_table,
     from_pdf,
     product_exponential,
     product_gamma,
@@ -88,6 +93,28 @@ def _assert_relative(got, ref, rtol):
 Z_WIDE = np.linspace(-37.0, 37.0, 20_001)
 
 
+def _one_pass(m, z):
+    """from_normal's values computed on all of z at once, not in blocks."""
+    z = np.asarray(z, dtype=float)
+    x = np.empty(z.size)
+    _from_normal_block(m.shape, _normal_table(m.shape), z.ravel(), x)
+    return m.scale * x.reshape(z.shape)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """An empty table cache, and the shapes _normal_table builds for it."""
+    builds = []
+
+    def counted(k):
+        builds.append(k)
+        return _normal_table(k)
+
+    monkeypatch.setattr(models, "_TABLES", {})
+    monkeypatch.setattr(models, "_normal_table", counted)
+    return builds
+
+
 class TestFromNormal:
     @pytest.mark.parametrize("k", [0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 10.0,
                                    100.0])
@@ -145,8 +172,25 @@ class TestFromNormal:
             assert np.shape(x) == ()
             assert x == m.from_normal(np.array([z]))[0]
 
-    def test_lazy_table_race_is_bitwise_stable(self):
-        m = GammaMarginal(2.5, 1.3)  # fresh: the first calls build the table
+    @pytest.mark.parametrize("k", [0.05, 3.0])
+    @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                      3 * _BLOCK + 5])
+    def test_blocks_match_one_pass(self, k, size):
+        # about 3% of the values lie past the table, at |z| >= 8.5, and at
+        # k = 0.05 half of the pieces take a Halley step
+        m = GammaMarginal(k, 1.7)
+        z = np.random.default_rng(size).standard_normal(size) * 4.0
+        np.testing.assert_array_equal(m.from_normal(z), _one_pass(m, z))
+
+    def test_blocks_keep_the_input_shape(self):
+        m = GammaMarginal(2.5, 1.3)
+        z = np.random.default_rng(3).standard_normal((3, _BLOCK + 7)) * 4.0
+        for zz in (z, z.T, np.empty((0,))):
+            np.testing.assert_array_equal(m.from_normal(zz), _one_pass(m, zz))
+
+    def test_lazy_table_race_is_bitwise_stable(self, table_builds):
+        # the cache is empty, so the 4 racing threads meet the first build
+        m = GammaMarginal(2.5, 1.3)
         z = np.random.default_rng(5).standard_normal(20_000) * 3.0
         start = threading.Barrier(4)
         out = [None] * 4
@@ -167,9 +211,26 @@ class TestFromNormal:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
+        assert table_builds == [2.5]
         for x in out[1:]:
             np.testing.assert_array_equal(x, out[0])
         np.testing.assert_array_equal(m.from_normal(z), out[0])
+
+    def test_instances_share_one_table(self, table_builds):
+        z = np.linspace(-9.0, 9.0, 1001)
+        x = [GammaMarginal(3.0, s).from_normal(z) for s in (0.5, 1.0, 2.0)]
+        assert table_builds == [3.0]
+        np.testing.assert_array_equal(x[2], 4.0 * x[0])
+        z_lo, coef, halley = _shape_table(3.0)
+        assert not (coef.flags.writeable or halley.flags.writeable)
+
+    def test_table_cache_is_bounded(self, table_builds):
+        shapes = [1.0 + j for j in range(_TABLES_MAX + 2)]
+        for k in shapes:
+            GammaMarginal(k).from_normal(0.0)
+        assert list(models._TABLES) == shapes[2:]
+        GammaMarginal(shapes[0]).from_normal(0.0)
+        assert table_builds == shapes + shapes[:1]
 
 
 class TestProductModels:

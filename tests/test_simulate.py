@@ -14,7 +14,7 @@ from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri
 from scipy.stats import kstest, pearsonr
 
 from gammakde import estimator, simulate
-from gammakde.models import GammaMarginal
+from gammakde.models import _BLOCK, GammaMarginal
 from gammakde.simulate import (
     ExperimentConfig,
     ExperimentResult,
@@ -69,6 +69,20 @@ class TestGenSeries:
                        gammainccinv(3.0, ndtr(-z)))
         np.testing.assert_allclose(gen_series(spec, 20_000, seed=17), ref,
                                    rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5])
+    @pytest.mark.parametrize("m", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   3 * _BLOCK + 5])
+    def test_blocks_match_one_pass(self, phi, m):
+        # one Philox draw of all m normals, one lfilter pass and one
+        # from_normal call (pinned to its one-pass values in test_models)
+        spec = MixingProcessSpec(GammaMarginal(3.0, 1.0), phi=phi)
+        eps = np.random.Generator(np.random.Philox(key=29)).standard_normal(m)
+        w = eps * np.sqrt(1.0 - phi * phi)
+        w[0] = eps[0]
+        z = lfilter([1.0], [1.0, -phi], w)
+        np.testing.assert_array_equal(gen_series(spec, m, seed=29),
+                                      spec.marginal.from_normal(z))
 
     def test_iid_marginal_is_exact(self):
         x = gen_series(EXP_SPEC, 20_000, seed=7)
