@@ -7,31 +7,11 @@ gamma reference and an optional pilot stage. Every rule reads the lag
 width as tau = d - 1: the model rules from the model's dimension, the
 plug-in from its sample's.
 
-Each constant is C = [prefactor * int V dx / int B dx]^e: a variance
-functional V over a squared-bias functional B on the orthant. Both
-integrands are written once, in ``_rule_integrands``, as functions of
-the density f and its curvature sum_j x_j f_jj; the reference rules
-feed it an analytic model, and the pilot stage a kernel estimate with
-its grid second differences. ``_rule_constant`` turns the two integrals
-into (C, e) for both.
-
-The reference integrals carry per-axis x^(-1/2) weights, so each axis
-is integrated under the substitution x = u^2 (or a higher power for the
-mixing numerator), which removes the origin singularity exactly for
-integrable references and exposes genuinely divergent ones.
-
-The integrands are formed on an open grid: one coordinate array per
-axis, broadcast against the others. A product reference evaluates each
-marginal once per axis instead of once per grid node, and any other
-model is evaluated on the stacked points; both give the same bits. The
-grid is integrated in slabs of axis 0 of about 2^16 nodes, small enough
-that a slab's temporaries stay in cache, so memory stays at one slab.
-The slabs pass the gate of the estimator's node blocks,
-``estimator._workers``: a grid of at least 2^20 nodes (the 301^3 grid
-of d = 3) runs its slabs on the usable CPUs of the main thread, one
-thread each, and a smaller one (the 801^2 grid of d = 2, the one slab
-of d = 1) on the calling thread. Each slab fills its own rows, so the
-constants have the same bits for any slab size and CPU count.
+Each constant is C = [prefactor * int V dx / int B dx]^e, a variance
+over a squared-bias functional on the orthant. ``_rule_integrands``
+writes both from the density f and its curvature sum_j x_j f_jj, given
+by an analytic model or by a pilot kernel estimate and its grid second
+differences; ``_rule_constant`` turns the two integrals into (C, e).
 """
 
 from dataclasses import dataclass, field
@@ -106,32 +86,22 @@ def _power_sub_integrals(m, integrands, p, names, curvature=True):
     ``integrands(x, f, curv)`` maps an open grid x, one coordinate array
     per axis that broadcasts against the others, with m's density f and
     curvature sum curv on it (None unless ``curvature``), to one array
-    per name; the p u^(p-1) Jacobian is applied here. The box runs from a
-    tiny cutoff to the per-axis quantile leaving out 1e-7 of the mass,
-    and first a cutoff-sensitivity check flags each integrand that
-    diverges at the origin, through the grid's own path on 1-node axes.
-    The grid has 301 nodes per axis at d = 3, so d >= 4 (8e9 nodes) is
+    per name; the p u^(p-1) Jacobian is applied here. The substitution
+    removes the x^(-1/2) origin weights of an integrable reference. The
+    box runs from a tiny cutoff to the per-axis quantile leaving out 1e-7
+    of the mass; a probe first refuses an integrand that diverges at the
+    origin. The grid has _RULE_NODES[d] nodes per axis, so d >= 4 is
     refused before anything is built.
 
-    The per-axis factors, x = u^p, the Jacobian and a product model's
-    marginal values, are computed once per axis. The grid is then cut
-    into slabs of axis 0 of about _SLAB_ELEMS = 2^16 nodes, so each
-    float64 temporary of a slab (512 KB) stays in a 2 MB L2 cache. On a
-    2-vCPU VM, 2^16 was fastest or tied at d = 2 and d = 3; 2^13 was
-    20% slower at d = 3, and from 2^19 on both rules took 1.5 to 2
-    times as long.
-    Each slab is integrated over its other axes by ``trapezoid_nd``,
-    then the row integrals over axis 0, which is the iterated trapezoid
-    rule of the whole grid, bit for bit. The slabs run on the pool of
-    the node blocks and replicates, ``estimator._thread_map``, behind
-    the node blocks' gate, ``estimator._workers``: a grid of at least
-    ``_SPLIT_ELEMS`` = 2^20 nodes, from the main thread, on
-    min(usable CPUs, slabs) threads, each writing only its own rows, so
-    the integrals have the same bits for any slab size and any CPU
-    count; a smaller grid, or one from a replicate worker, on the
-    calling thread. On a 2-vCPU VM, 2 slab threads on the 801^2 grid
-    cost lag-series about 8 MB of peak RSS (their malloc arenas) and 7%
-    more CPU time, for about 6% less wall time.
+    The per-axis factors (x = u^p, the Jacobian, a product model's
+    marginals) are computed once. The grid is integrated in slabs of
+    axis 0 of about _SLAB_ELEMS = 2^16 nodes, whose temporaries stay in
+    cache (BENCH_rule-slabs.json): each slab by ``trapezoid_nd`` over its
+    other axes, then the rows over axis 0, bitwise the iterated trapezoid
+    rule of the whole grid. Behind the gate ``estimator._workers``, a grid
+    of at least 2^20 nodes (d = 3) from the main thread runs its slabs on
+    the usable CPUs, and any other on the calling thread; the integrals
+    have the same bits for any slab size and CPU count.
     """
     if m.dim > 3:
         raise ValueError("rule integrals support at most 3 dimensions "
@@ -211,14 +181,10 @@ def _axis_terms(m, x, curvature=True):
 
 def _grid_terms(m, terms, curvature=True):
     """(x, f, sum_j x_j f_jj) on the open grid of the per-axis factors
-    ``terms`` of ``_axis_terms``.
-
-    A product model forms the products by broadcasting, in the order of
-    the stacked evaluation (products from axis 0 up, the curvature summed
-    from axis 0 up), so both give the same bits. Any other model is
-    evaluated on the stacked points. The curvature is None unless asked
-    for.
-    """
+    ``terms`` of ``_axis_terms``; the curvature is None unless asked for.
+    Any other model than a product is evaluated on the stacked points; a
+    product broadcasts in the same order (from axis 0 up), with the same
+    bits."""
     x = [t[0] for t in terms]
     if m.marginals is None:
         pts = np.stack(np.broadcast_arrays(*x), axis=-1)
@@ -320,10 +286,8 @@ def derivative_bandwidth(m, n):
     unit exponential) make the numerator diverge and are rejected.
 
     The denominator is 16 times the squared Taylor bias of the paper,
-    f/(12 x_n^2) + sum_j x_j f_jj/(4 x_n). ``theory._b1`` keeps terms of
-    that order it drops: on Gamma(3), int B1^2 = 0.0703 against 0.0152,
-    so with B1 the optimal b is (0.0152/0.0703)^(2/7) = 0.645 of this
-    rule's, and at n = 1000 ``mise_leading`` is least near 0.67 of it.
+    not the estimator's b B1 (``theory._b1``); see the derivative-rule
+    item of ROADMAP.md.
     """
     return _reference_rule(m, n, "derivative", "DerivativeRef")
 
@@ -335,11 +299,10 @@ def mixing_bandwidth(m, n, mp):
           * int D(u, x) f^(1-u) dx / int (sum_j x_j f_jj)^2 dx
           * int alpha^u / n ]^(2/(tau(u+1)+u+5)).
 
-    The exponent makes the bandwidth shrink with n and is pinned by
-    first-order optimality of the bias^2-plus-covariance objective (the
-    reciprocal power would make b grow). upsilon <= 1/3 is rejected (the
-    bound's leading factor changes sign there and the fractional power
-    leaves the reals). The denominator is the density rule's.
+    The exponent, fixed by first-order optimality of the
+    bias^2-plus-covariance objective, makes b shrink with n. upsilon <= 1/3
+    is refused: the bound's leading factor changes sign there. The
+    denominator is the density rule's.
     """
     _check_n(n)
     tau = m.dim - 1
@@ -386,10 +349,8 @@ def mixing_bandwidth(m, n, mp):
 def _moment_matched_reference(data, min_shape):
     """Product-gamma reference with per-coordinate moment matching.
 
-    Shapes are floored at the smallest value keeping the rule's
-    functionals integrable at the origin, so heavy-at-zero data (for
-    example near-exponential) still yields a usable reference instead of
-    an integral that blows up.
+    Shapes are floored at the smallest value whose rule integrals are
+    finite, so heavy-at-zero data still gets a usable reference.
     """
     mean = data.mean(axis=0)
     var = data.var(axis=0, ddof=1)

@@ -6,49 +6,26 @@ The estimators average d-fold products of gamma kernels over the sample:
     dfhat/dx_a  = (1/n) sum_i c_i(x_a) prod_j K_{rho(x_j,b_j),b_j}(X_ij)
 
 with c_i = L(X_ia, x_a, b_a)/b_a on the interior branch and
-x_a/(2 b_a^2) * L on the boundary branch. Both are one contraction over
-the sample of per-axis (node x sample) kernel matrices; the derivative
-multiplies the matrix of axis a by c_i first. A pointwise estimate is
-``field_on_grid`` on a one-node grid. An observation X_ia = 0
-contributes c_i K = 0, the exact limit: K L ~ t^(rho-1) ln t -> 0 for
-x_a > 0, and c_i = 0 at x_a = 0.
+x_a/(2 b_a^2) * L on the boundary branch: one contraction over the
+sample of per-axis (node x sample) kernel matrices, the matrix of axis a
+times c_i for the derivative. A pointwise estimate is a one-node grid.
+An observation X_ia = 0 contributes c_i K = 0, the exact limit:
+K L ~ t^(rho-1) ln t -> 0 for x_a > 0, and c_i = 0 at x_a = 0.
 
-The sum over the sample is taken in chunks of at most
-cols = max(128, 2^20 // sum_j m_j) rows, for m_j nodes on axis j, so the
-kernel matrices of one chunk hold about 2^20 floats (8 MB). They live in
-workspaces allocated once per call and reused by every chunk, plus one
-more matrix for the derivative weights. Each chunk builds each axis's
-matrix once: n * sum_j m_j kernel values per field. The rows are split
-as numpy's pairwise sum splits a row (half = n // 2, rounded down to a
-multiple of 8, recursively), the two halves' sums are added, and the
-total is divided by n once. Memory is O(cols * sum_j m_j) for the
-workspaces plus one partial field of prod_j m_j values per level of the
-split, log2(n / cols) levels. For d = 1 each chunk is a subtree of the
-pairwise sum over all n terms, so the estimate is bitwise the one-pass
-``mean``. Every d >= 2 is a chain of two-operand contractions: past
-two axes, one axis-0 node i at a time, the elementwise P = A[i] * B over
-the chunk's rows takes the place of A and B; the last two axes take one
-two-operand ``einsum``, so each value is one dot over the rows. At d = 2
-this is bitwise the one-pass ``einsum`` while n <= cols; at d >= 3 it is
-not, even then. Every d >= 2 stays deterministic and differs from the
-one-pass sum only in the last bits.
+The sample is summed in chunks of at most cols = max(128, 2^20 // sum m_j)
+rows, for m_j nodes on axis j, split as numpy's pairwise sum splits a
+row, and divided by n once. Each chunk builds each axis's kernel matrix
+once, in workspaces made once per call: memory is O(cols * sum_j m_j)
+plus a partial field per level of the split. d = 1 is bitwise the
+one-pass ``mean``; d = 2 is bitwise the one-pass ``einsum`` while
+n <= cols; d >= 3 differs from it only in the last bits.
 
-Every grid node is independent work. The node blocks here and the rule
-slabs of ``bandwidth`` share one gate, ``_workers``: work of at least
-2^20 values (``_SPLIT_ELEMS``) on the main thread runs on
-min(usable CPUs, tasks) threads, and any other on the calling thread.
-So a 1-d field of at least 2^20 kernel values (n * m_0) computed on the
+A 1-d field of at least 2^20 kernel values (n * m_0) computed on the
 main thread is cut into p = min(usable CPUs, m_0) contiguous blocks of
-its nodes, and each block runs the sum above over the whole sample on
-its own thread, in its own workspace. The block results are
-concatenated and divided by n once. ``cols`` comes from the full grid,
-so each node's summation tree is unchanged: the bytes are those of
-p = 1 for any CPU count. A field of d >= 2 stays on the calling thread,
-so the matrices of the axes >= 1 are built once per chunk: on a 2-vCPU
-host, node blocks that shared them between threads took more CPU and
-more wall time than one thread (a host whose cores run the threads at
-once is not yet measured). A field computed on any other thread, as in
-the Monte Carlo pool, stays on that thread too.
+its nodes, one thread each (``_workers``, the gate of the rule slabs
+too); ``cols`` comes from the full grid, so the bytes do not depend on
+the CPU count. Other fields stay on the calling thread
+(``BENCH_axes-once.json``).
 """
 
 import itertools
@@ -82,9 +59,8 @@ _CHUNK_ELEMS = 1 << 20
 # numpy sums a block of up to 128 terms in one pass, without splitting it,
 # so no chunk is made smaller (and under 16 rows half would round to 0)
 _PAIRWISE_BLOCK = 128
-# values from which work is split over several threads: the kernel
-# values of a 1-d field (n times the node count), or the nodes of a
-# rule grid
+# values from which work is split over threads: the kernel values of a
+# 1-d field (n times the node count), or the nodes of a rule grid
 _SPLIT_ELEMS = 1 << 20
 # floats under 4 MiB, from which numpy asks for transparent huge pages
 _RUN_ELEMS = (1 << 19) - 1
@@ -196,14 +172,11 @@ def _field(data, axes, b, axis=None):
     shape = [a.size for a in axes]
     cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(shape))
     p = _workers(shape[0], n * shape[0]) if len(axes) == 1 else 1
-    # every chunk of a block writes its kernel matrices into the block's
-    # workspace, one matrix per axis, one for the derivative weights and
-    # at d >= 3 one product buffer for each of the axes 1 to d - 2; no
-    # two blocks or calls share memory. All are allocated here, in the
-    # calling thread: allocated in the workers they raised lag-series'
-    # peak RSS by 15 MB. A block computes its axis-0 nodes in runs of
-    # matrices under _RUN_ELEMS, with the same bits: huge pages reused
-    # from malloc's heaps made mc-study's peak RSS vary by 25 MB
+    # each block's workspaces: a matrix per axis, the derivative weights
+    # and at d >= 3 a product buffer per axis 1 to d - 2. All are made
+    # here, in the calling thread, which keeps the pool threads' heaps
+    # small (BENCH_node-blocks.json); axis-0 matrices come in runs under
+    # _RUN_ELEMS, so numpy asks for no huge pages (BENCH_steady-rss.json)
     k = min(cols, n)
     blocks = []
     for nodes in np.array_split(axes[0], p):
@@ -231,12 +204,8 @@ def _field(data, axes, b, axis=None):
 
 def _sum_terms(data, axes, b, axis, cols, block):
     """Sum the per-observation terms over the rows of ``data``, at the
-    axis-0 nodes of ``block`` and every node of the axes >= 1.
-
-    Rows are split as numpy's pairwise sum splits a row, so for d = 1
-    every split is one that ``sum`` over all rows would make itself.
-    Each chunk of rows builds each axis's kernel matrix once.
-    """
+    axis-0 nodes of ``block`` and every node of the axes >= 1. Rows are
+    split where numpy's pairwise ``sum`` over all of them would split."""
     n = data.shape[0]
     if n > cols:
         half = n // 2
@@ -273,15 +242,10 @@ def _kernel_matrix(col, nodes, bj, work, weights=None):
 
 def _contract(first, mats, prods, out=None):
     """Sum over the rows the products of the axis-0 matrix ``first`` and
-    the matrices ``mats`` of the axes >= 1, at every node; into ``out``,
-    if given.
-
-    einsum without BLAS: the summation order, and so every output byte,
-    does not depend on the thread count. Past two axes, one axis-0 node
-    i at a time: P = A[i] * B over the rows, written into ``prods[0]``,
-    is the axis-0 matrix of the same sum over the remaining axes. The
-    last two axes take one two-operand einsum, so each value is one dot
-    over the rows.
+    the matrices ``mats`` of the axes >= 1, at every node, into ``out`` if
+    given. einsum without BLAS keeps the bytes independent of the thread
+    count. Past two axes, P = A[i] * B (in ``prods[0]``) replaces A and B
+    one axis-0 node i at a time; the last two axes take one einsum.
     """
     if not mats:
         return first.sum(axis=1)
@@ -359,12 +323,13 @@ def load_sample(path):
     """Read a sample from delimited text: one observation per line.
 
     Accepts comma- or whitespace-separated columns, blank lines, lines
-    starting with '#', and an optional single header line. Parse and sign
-    errors are reported with line numbers.
+    starting with '#', and an optional single header line. A value that
+    does not parse, is negative or is not finite is reported with its
+    line number.
     """
     with open(path) as fh:
         data = _load_fast(path, fh)
-        if data is not None and np.all(data >= 0.0):
+        if data is not None and np.all((data >= 0.0) & np.isfinite(data)):
             return as_sample(data)
         fh.seek(0)
         return _load_lines(path, fh)
@@ -393,9 +358,8 @@ def _data_rows(path, fh):
 def _load_fast(path, fh):
     """``np.loadtxt`` on a file that ``_load_lines`` would read the same way.
 
-    Returns None where loadtxt fails: any '#' after the first data line,
-    or no data rows (loadtxt warns). ``_load_lines`` then names the line
-    at fault.
+    Returns None where loadtxt fails (a '#' after the first data line, or
+    no data rows), and ``_load_lines`` then names the line at fault.
     """
     try:
         first = next(_data_rows(path, fh), None)
@@ -422,6 +386,10 @@ def _load_lines(path, fh):
             raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} "
                              f"columns, got {len(vals)}")
         for col, v in enumerate(vals):
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"{path}:{lineno}: non-finite value in column {col}"
+                )
             if v < 0.0:
                 raise ValueError(
                     f"{path}:{lineno}: negative value in column {col}"
@@ -435,10 +403,8 @@ def _load_lines(path, fh):
 def save_field(field, path):
     """Write a FieldOnGrid as delimited text: coordinates then value per line.
 
-    Nodes run in C order (last axis fastest). Each coordinate is
-    formatted once, and each head of leading coordinates is joined once;
-    every row of the last axis is then one ``%`` format and one write, so
-    memory stays at a row.
+    Nodes run in C order (last axis fastest), and each row of the last
+    axis is one ``%`` format and one write, so memory stays at a row.
     """
     *lead, last = [[f"{c:.16e}," for c in np.asarray(a).tolist()]
                    for a in field.axes]

@@ -33,19 +33,15 @@ __all__ = [
 # [-_Z_TABLE, _Z_TABLE] with step 1 / _Z_STEPS
 _Z_TABLE = 8.5
 _Z_STEPS = 512
-# a table piece whose value at its midpoint is further than this
-# (relative) from the inverse gets a Halley step; a quarter of the 1e-13
-# that from_normal holds for shape >= 0.5, used for every shape
+# a table piece further than this (relative) from the inverse at its
+# midpoint gets a Halley step: a quarter of from_normal's 1e-13
 _TABLE_RTOL = 2.5e-14
-# at x <= 1.1 scipy evaluates gammaincc by a series that costs 1-5 us per
-# value for shape < 1.5; there the upper tail is not small, so from_normal
-# solves z > 0 on gammainc(k, x) = ndtr(z) too
+# at x <= 1.1 scipy's gammaincc is a slow series and the upper tail is
+# not small, so from_normal solves z > 0 on gammainc(k, x) = ndtr(z) too
 _X_UPPER_SERIES = 1.1
 # from_normal and gen_series work on blocks of this many values: small
-# enough that malloc reuses the temporaries instead of returning their pages
-# between calls (2^15 still faulted), large enough that pool threads hand
-# over the interpreter lock less often (2^13 cost mc-study 5% more CPU);
-# BENCH_copula-blocks.json
+# enough that malloc reuses the temporaries, large enough that pool
+# threads seldom hand over the interpreter lock (BENCH_copula-blocks.json)
 _BLOCK = 1 << 14
 # the latent-normal tables, built once per shape per process (about 0.3 MB
 # each), kept in insertion order and dropped oldest first past _TABLES_MAX
@@ -63,18 +59,14 @@ def _tail_inverse(k, z):
 def _normal_table(k):
     """(z_lo, coef, halley): cubic Hermite pieces of log x(z) for Gamma(k, 1).
 
-    x(z) solves F(x) = Phi(z). Row i holds the coefficients in
-    t = (z - z_i) * _Z_STEPS of the piece starting at z_i = -_Z_TABLE + i /
-    _Z_STEPS. Node slopes are the exact d log x / dz = phi(z) / (x g(x)).
-    The table is used for z in [z_lo, _Z_TABLE); z_lo rises above
-    -_Z_TABLE only for shapes so small that low nodes underflow.
-
-    halley[i] marks the pieces that need a Halley step: those whose value
-    at t = 1/2, where the Hermite error term t^2 (1 - t)^2 peaks, is
-    further than _TABLE_RTOL from the tail inverse there. At step 1/512
-    no piece is marked for k from 0.6 to 1e4; 1 of 8704 is for k = 0.5,
-    4% for k = 0.3, 16% for k = 0.2, 51% for k = 0.05 and 72% for
-    k = 0.01.
+    x(z) solves F(x) = Phi(z). Column i of coef, a C-contiguous (4, N)
+    array, holds the coefficients in t = (z - z_i) * _Z_STEPS of the piece
+    starting at z_i = -_Z_TABLE + i / _Z_STEPS. Node slopes are the exact
+    d log x / dz = phi(z) / (x g(x)). The table serves z in
+    [z_lo, _Z_TABLE); z_lo rises above -_Z_TABLE only where low nodes
+    underflow. halley[i] marks the pieces whose value at t = 1/2, where
+    the Hermite error peaks, is further than _TABLE_RTOL from the tail
+    inverse: none for k from 0.6 to 1e4.
     """
     z = np.linspace(-_Z_TABLE, _Z_TABLE, int(2 * _Z_TABLE * _Z_STEPS) + 1)
     x = _tail_inverse(k, z)
@@ -84,10 +76,10 @@ def _normal_table(k):
                    - (k * y - x - gammaln(k))) / _Z_STEPS
         dy = np.diff(y)
         coef = np.stack([y[:-1], m[:-1], 3.0 * dy - 2.0 * m[:-1] - m[1:],
-                         m[:-1] + m[1:] - 2.0 * dy], axis=1)
+                         m[:-1] + m[1:] - 2.0 * dy])
         # from_normal's Horner form at t = 1/2
-        mid = np.exp(((0.5 * coef[:, 3] + coef[:, 2]) * 0.5 + coef[:, 1])
-                     * 0.5 + coef[:, 0])
+        mid = np.exp(((0.5 * coef[3] + coef[2]) * 0.5 + coef[1]) * 0.5
+                     + coef[0])
         # pieces with an underflowed node give nan and are marked; z_lo
         # keeps them out of use
         halley = ~(np.abs(mid / _tail_inverse(k, z[:-1] + 0.5 / _Z_STEPS)
@@ -137,10 +129,14 @@ def _from_normal_block(k, table, z, x):
     z_lo, coef, halley = table
     far = ~((z >= z_lo) & (z < _Z_TABLE))
     u = (np.where(far, 0.0, z) + _Z_TABLE) * _Z_STEPS
-    i = np.minimum(u.astype(np.intp), coef.shape[0] - 1)
+    i = np.minimum(u.astype(np.intp), coef.shape[1] - 1)
     t = u - i
-    c = coef.take(i, axis=0)
-    y = ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
+    # Horner's rule gathers one row of coef at a time, so every temporary
+    # is one block of floats, which malloc reuses
+    y = coef[3].take(i)
+    for c in coef[2::-1]:
+        y *= t
+        y += c.take(i)
     np.exp(y, out=x)
     step = np.flatnonzero(halley.take(i) & ~far)
     if step.size:
@@ -155,10 +151,9 @@ class GammaMarginal:
     With u(x) = (k-1)/x - 1/theta the derivatives of the pdf g are
     g' = g u, g'' = g (u^2 + u'), g''' = g (u^3 + 3 u u' + u'').
 
-    Near the float range a power of x or u overflows to inf, and inf
-    meets 0 or inf. The callers check the results for that, so pdf,
-    d1-d3 (with u) and quantile set numpy's error state to ignore it
-    themselves: the state is per thread, and they also run on workers.
+    Near the float range a power of x or u overflows; pdf, d1-d3 and
+    quantile ignore that on whichever thread they run (numpy's error
+    state is per thread), and their callers check for non-finite results.
     """
 
     def __init__(self, shape, scale=1.0):
@@ -219,18 +214,11 @@ class GammaMarginal:
 
         Equals quantile(ndtr(z)) but never rounds Phi(z) near 1: it is
         solved on the smaller tail, gammainc(k, x) = ndtr(z) for z <= 0
-        and gammaincc(k, x) = ndtr(-z) above (at x > 1.1, see
-        _X_UPPER_SERIES), within 1e-13 relative for k >= 0.5 and 1e-12
-        below. A cubic Hermite table of log x in z, step 1/512, built once
-        per shape per process (_shape_table), gives x directly on the
-        pieces whose midpoint error is within 2.5e-14 (all of them for k
-        from 0.6 to 1e4); on the others (51% of them at k = 0.05, see
-        _normal_table) one Halley step finishes it. For |z| >= 8.5 it is
-        gammaincinv(k, ndtr(z)) or gammainccinv(k, ndtr(-z)) directly.
-
-        The values are computed in blocks of _BLOCK into one output array,
-        which is then scaled in place; every step is elementwise, so the
-        result does not depend on the block size.
+        and gammaincc(k, x) = ndtr(-z) above (at x > 1.1), within 1e-13
+        relative for k >= 0.5 and 1e-12 below. It reads a cubic Hermite
+        table of log x in z (_normal_table, one per shape per process),
+        with a Halley step on the pieces it marks, and the tail inverse at
+        |z| >= 8.5; every step is elementwise, so _BLOCK changes no bit.
         """
         table = _shape_table(self.shape)
         z = np.asarray(z, dtype=float)
@@ -259,12 +247,9 @@ class DensityModel:
     with ``pdf`` and ``d2`` over arrays), or is None.
 
     At construction grad is checked against central finite differences
-    of pdf on a probe grid. On axis j the step is 1e-4 s, where s is the
-    coordinate capped at the probes' spread on that axis (1 at 0), and
-    the tolerance is 1e-4 relative plus 1e-5 max(pdf / s) over the
-    probes, a floor in the gradient's units: the check does not depend
-    on the data's units and accepts a narrow density such as Gamma(1e6,
-    1e-6). The higher derivatives are not checked.
+    of pdf on a probe grid, with a step and tolerance scaled to the
+    probes, so the check does not depend on the data's units. The higher
+    derivatives are not checked.
     """
 
     def __init__(self, dim, pdf, grad, hess_diag, third, mixed,
@@ -295,9 +280,8 @@ class DensityModel:
         g = np.asarray(self.grad(probe))
         f = np.abs(np.asarray(self.pdf(probe)))
         for j in range(d):
-            # a step relative to the coordinate, and at most the probes'
-            # spread, keeps the check free of the data's units and inside
-            # a narrow density; a probe at 0 steps by 1e-4
+            # a step relative to the coordinate, at most the probes'
+            # spread, stays inside a narrow density; at 0 it is 1e-4
             x = np.abs(probe[:, j])
             spread = np.ptp(probe[:, j])
             s = np.minimum(x, spread) if spread > 0.0 else x
@@ -307,9 +291,8 @@ class DensityModel:
             hi[:, j] += h
             lo[:, j] -= h
             fd = (np.asarray(self.pdf(hi)) - np.asarray(self.pdf(lo))) / (2 * h)
-            # floor in the gradient's units: the probe can land on a
-            # critical point, where the finite difference is rounding
-            # noise of pdf over 2h
+            # floor in the gradient's units: at a critical point the
+            # finite difference is rounding noise of pdf over 2h
             floor = 1e-5 * np.max(f / s, where=np.isfinite(f), initial=0.0)
             tol = 1e-4 * np.abs(fd) + floor
             if np.any(np.abs(fd - g[..., j]) > tol):

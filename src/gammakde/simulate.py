@@ -1,20 +1,15 @@
 """Data generation and Monte Carlo validation of the estimator theory.
 
-Dependent nonnegative series come from a Gaussian-copula AR(1): each
-value of a latent stationary N(0, 1) AR(1) chain z is mapped to the x
-with F(x) = Phi(z), solved on the smaller tail of Phi(z)
-(`GammaMarginal.from_normal`), so no precision is lost as Phi(z) nears
-1. The latent chain is geometrically strong-mixing, so every power of
-the mixing coefficient is integrable, while the marginals are exact.
+Dependent nonnegative series come from a Gaussian-copula AR(1): a
+latent stationary N(0, 1) AR(1) chain z is mapped to the x with
+F(x) = Phi(z) (``GammaMarginal.from_normal``). The marginals are exact,
+and the chain is geometrically strong-mixing, so every power of the
+mixing coefficient is integrable.
 
-Experiments are deterministic: replicate streams are counter-based
-(Philox) and derived from the experiment seed, so results are
-bit-identical for any worker count. Replicates run on the pool helper
-of the node blocks and rule slabs, ``estimator._thread_map``: on
-``workers`` threads, or on the calling thread at one worker. They do
-not pass the size gate the node blocks and rule slabs share
-(``estimator._workers``); a field or rule inside a replicate worker
-stays on that worker.
+Replicate streams are counter-based (Philox), derived from the
+experiment seed, and run on ``workers`` threads
+(``estimator._thread_map``); a field or rule inside a replicate stays on
+its thread. Results are bit-identical for any worker count.
 """
 
 from dataclasses import dataclass, field
@@ -113,20 +108,13 @@ def gen_series(spec, m, seed):
     """Length-m stationary series with exact marginals.
 
     Same seed gives bit-identical output; the latent chain starts in its
-    stationary N(0, 1) law.
-
-    The series is made in blocks of ``models._BLOCK`` values: each block's
-    normals are drawn from the one Philox stream, filtered with the AR(1)
-    state carried over from the block before, and mapped by
-    ``from_normal`` (whose table is cached per shape) into one output
-    array. The values are those of one pass over all m values.
+    stationary N(0, 1) law. The series is made in blocks of
+    ``models._BLOCK`` values, with the same bits as one pass over all m.
     """
     if m < 1:
         raise ValueError("series length must be >= 1")
-    # imported here, not at module level: scipy.signal pulls in
-    # scipy.stats, scipy.interpolate and scipy.optimize (about 1 s), and
-    # only commands that generate a series should pay for that; a first
-    # call on a pool thread is safe, as imports take a per-module lock
+    # imported here, so that only series generation pays for scipy.signal
+    # (BENCH_cold-start.json); imports take a lock, so pool threads are safe
     from scipy.signal import lfilter
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -179,9 +167,8 @@ def truth_model(spec, tau):
 
 
 def _replicate_seed(seed, global_rep):
-    # per-replicate Philox key; XOR does not keep experiments disjoint
-    # (seed 3 replicate 1 is seed 2 replicate 0), see the replicate-stream
-    # entry under "Known defects" in ROADMAP.md
+    # per-replicate Philox key; XOR collides across seeds (seed 3 replicate
+    # 1 is seed 2 replicate 0), a Known defect in ROADMAP.md
     return int(seed) ^ int(global_rep)
 
 

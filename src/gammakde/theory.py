@@ -6,10 +6,7 @@ against an analytic :class:`~gammakde.models.DensityModel` m of
 (tau+1)-point lag fragments; every function reads tau = m.dim - 1 from m.
 These expansions are proven for interior points only (every coordinate
 at least 2b); boundary points are rejected rather than extrapolated.
-
-Each leading-term functional is written once: f and its partials, the
-variance prefactor, D(u, x) (shared with the mixing-aware bandwidth rule)
-and the density covariance core D(u, x) |b S(u, x) + ...|^(1-u).
+``_mixing_weight``, D(u, x), is shared with the mixing-aware bandwidth rule.
 """
 
 from dataclasses import dataclass, field
@@ -216,13 +213,7 @@ def _b1(m, x):
     """O(b) bias coefficient of the derivative estimate.
 
     The estimator is the exact x_n-partial of the density estimate, so
-    its mean is the x_n-derivative of the density estimate's mean and
     B1 = (1/2) d/dx_n sum_j x_j f_jj = (1/2)(f_nn + sum_j x_j f_jjn).
-    (A second-order Taylor expansion of the L-term expectation instead
-    gives f/(12 x_n^2) + (1/(4 x_n)) sum_j x_j f_jj, but that drops
-    third- and fourth-moment terms of the same order once the leading
-    1/b prefactor is applied; the exact-expectation quadrature oracle
-    confirms the derivative form.)
     """
     d = x.shape[-1]
     h = np.asarray(m.hess_diag(x))

@@ -14,8 +14,7 @@ __all__ = ["analytic_checks", "monte_carlo_checks", "run_all"]
 
 
 def _check_kernel_normalization():
-    # imported here, not at module level, so that importing the CLI does
-    # not load scipy.integrate for commands that never validate
+    # imported here, so that only the validate command loads scipy.integrate
     from scipy.integrate import quad
 
     worst = 0.0

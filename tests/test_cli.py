@@ -220,6 +220,8 @@ BAD_INPUT = {
     "estimate-not-finite": "estimate --input {short} --output {out} "
                            "--b 1e-300 --grid 1e6:1e6:1",
     "grid-overflow": f"{EST} --b 0.3 --grid=-1e308:1e308:3",
+    # loadtxt reads inf as a float, so the line parser must name the line
+    "input-inf": "estimate --input {inf} --output {out} --b 0.3",
     # a 1e15-node field (7.11 PiB): past any address space, so the
     # allocation is refused at once and no memory is touched
     "field-too-large": "estimate --input {short} --output {out} --tau 2 "
@@ -285,6 +287,7 @@ BAD_INPUT_MESSAGE = {
     "estimate-not-finite": "the estimate is not finite at 1 of 1 nodes",
     "grid-overflow": "bad --grid axis '-1e308:1e308:3': nodes are not "
                      "finite",
+    "input-inf": "inf.csv:3: non-finite value in column 0",
     "derivative-rule-zero": "derivative-rule denominator is 0",
     "density-rule-zero": "density-rule denominator is 0",
     "mixing-rule-zero": "mixing-rule numerator is 0",
@@ -330,8 +333,11 @@ def _assert_usage_error(tmp_path, capsys, key):
     pair.write_text("1.0,2.0\n2.0,1.0\n0.5,0.7\n")
     flat = tmp_path / "flat.csv"
     flat.write_text("1.0\n" * 59 + "1.000000000000001\n")
+    inf = tmp_path / "inf.csv"
+    inf.write_text("1.0\n2.0\ninf\n")
     out = tmp_path / "out.csv"
-    argv = [a.format(mini=MINI, short=short, pair=pair, flat=flat, out=out)
+    argv = [a.format(mini=MINI, short=short, pair=pair, flat=flat, inf=inf,
+                     out=out)
             for a in BAD_INPUT[key].split()]
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -652,6 +652,16 @@ class TestIO:
         with pytest.raises(ValueError, match=":2:.*column 1"):
             load_sample(p)
 
+    @pytest.mark.parametrize("text,where", [
+        ("1.0\n2.0\nnan\n", ":3: non-finite value in column 0"),
+        ("1.0,2.0\n3.0,4.0\n5.0,inf\n", ":3: non-finite value in column 1"),
+        ("x\n1.0\n-inf\n", ":3: non-finite value in column 0"),
+    ], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_error_has_location(self, tmp_path, text, where):
+        p = _write(tmp_path / "s.csv", text)
+        with pytest.raises(ValueError, match=where):
+            load_sample(p)
+
     def test_ragged_rows_rejected(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("1.0,2.0\n3.0\n")
