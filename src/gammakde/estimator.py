@@ -14,11 +14,24 @@ K L ~ t^(rho-1) ln t -> 0 for x_a > 0, and c_i = 0 at x_a = 0.
 
 The sample is summed in chunks of at most cols = max(128, 2^20 // sum m_j)
 rows, for m_j nodes on axis j, split as numpy's pairwise sum splits a
-row, and divided by n once. Each chunk builds each axis's kernel matrix
-once, in workspaces made once per call: memory is O(cols * sum_j m_j)
-plus a partial field per level of the split. d = 1 is bitwise the
-one-pass ``mean``; d = 2 is bitwise the one-pass ``einsum`` while
-n <= cols; d >= 3 differs from it only in the last bits.
+row, and divided by n once. The terms of the kernel that depend on a
+node alone (``kernel.node_terms``) are computed once per field and axis,
+those that depend on an observation alone (``kernel.obs_terms``) once
+per chunk and axis. The kernel matrices are written in tiles of
+max(1, 2^17 // min(cols, n)) nodes (``_TILE_ELEMS``: 1 MB or less
+wherever a node's row fits), each weighted on the derivative axis as it
+is written, so a tile and its weights stay in L2. An axis-0 tile is
+contracted at once: row sums at d = 1, one einsum with the axis-1
+matrix at d = 2, one axis-0 node at a time past that. The matrices of
+axes >= 1 are kept whole for the chunk. Workspaces are made once per
+call: memory is O(cols * sum_{j>=1} m_j) plus two tiles and a partial
+field per level of the split.
+
+Every kernel value takes the same float operations in any tile, and
+each row of a tile is summed whole, so the tile size changes no bit.
+d = 1 is bitwise the one-pass ``mean``; d = 2 is bitwise the one-pass
+``einsum`` while n <= cols; d >= 3 differs from it only in the last
+bits.
 
 A 1-d field of at least 2^20 kernel values (n * m_0) computed on the
 main thread is cut into p = min(usable CPUs, m_0) contiguous blocks of
@@ -37,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import grad_prefactor, l_term, log_kernel_eval
+from .kernel import kernel_into, node_terms, obs_terms
 
 __all__ = [
     "FieldOnGrid",
@@ -62,8 +75,11 @@ _PAIRWISE_BLOCK = 128
 # values from which work is split over threads: the kernel values of a
 # 1-d field (n times the node count), or the nodes of a rule grid
 _SPLIT_ELEMS = 1 << 20
-# floats under 4 MiB, from which numpy asks for transparent huge pages
-_RUN_ELEMS = (1 << 19) - 1
+# float64 elements of a kernel tile (1 MB): a tile and its weight tile
+# are written, weighted and contracted while they sit in a 2 MiB L2.
+# Smaller tiles cost more ufunc calls, which two threads pay for in GIL
+# hand-offs (BENCH_kernel-tiles.json)
+_TILE_ELEMS = 1 << 17
 
 
 @dataclass
@@ -171,27 +187,41 @@ def _field(data, axes, b, axis=None):
     n = data.shape[0]
     shape = [a.size for a in axes]
     cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(shape))
-    p = _workers(shape[0], n * shape[0]) if len(axes) == 1 else 1
-    # each block's workspaces: a matrix per axis, the derivative weights
-    # and at d >= 3 a product buffer per axis 1 to d - 2. All are made
-    # here, in the calling thread, which keeps the pool threads' heaps
-    # small (BENCH_node-blocks.json); axis-0 matrices come in runs under
-    # _RUN_ELEMS, so numpy asks for no huge pages (BENCH_steady-rss.json)
+    # chunks of at most k rows, tiles of `step` nodes; each kernel value
+    # takes the same operations in any tile and rows are summed whole,
+    # so neither size changes a bit of the field
     k = min(cols, n)
+    step = max(1, _TILE_ELEMS // k)
+    # the node terms, once per field and axis, cut into tiles. Past the
+    # float range a log kernel runs to -inf, a kernel of 0, and the
+    # terms to inf or nan, which only a non-finite total shows; numpy's
+    # error state does not carry into pool threads. A shape x/b that
+    # overflows is refused here, before any pool starts
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        terms = [node_terms(a[:, None], bj, j == axis)
+                 for j, (a, bj) in enumerate(zip(axes, b))]
+    p = _workers(shape[0], n * shape[0]) if len(axes) == 1 else 1
+    rest = [_tiles(t, 0, m, step) for t, m in zip(terms[1:], shape[1:])]
+    # each block's workspaces: an axis-0 tile, a matrix per axis >= 1,
+    # a derivative weight tile and at d >= 3 a product buffer per axis
+    # 1 to d - 2. All are made here, in the calling thread, which keeps
+    # the pool threads' heaps small (BENCH_node-blocks.json); the tiles
+    # are far below the 4 MiB from which numpy asks for huge pages
+    # (BENCH_steady-rss.json)
     blocks = []
-    for nodes in np.array_split(axes[0], p):
-        runs = np.array_split(nodes, -(-nodes.size // max(1, _RUN_ELEMS // k)))
-        work = [np.empty(m * k) for m in [runs[0].size] + shape[1:]]
-        weights = None if axis is None else np.empty(work[axis].size)
+    for nodes in np.array_split(np.arange(shape[0]), p):
+        sizes = [nodes.size] + shape[1:]
+        work = [np.empty(min(step, nodes.size) * k)]
+        work += [np.empty(m * k) for m in shape[1:]]
+        weights = (None if axis is None
+                   else np.empty(min(step, sizes[axis]) * k))
         prods = [np.empty(m * k) for m in shape[1:-1]]
-        blocks.append((runs, work, weights, prods))
+        first = _tiles(terms[0], nodes[0], nodes[-1] + 1, step)
+        blocks.append(([first] + rest, work, weights, prods))
 
     def block_sum(block):
-        # past the float range a log kernel runs to -inf, a kernel of 0,
-        # and the terms to inf or nan, which only a non-finite total
-        # shows; numpy's error state does not carry into pool threads
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _sum_terms(data, axes, b, axis, cols, block)
+            return _sum_terms(data, b, cols, block)
 
     values = np.concatenate(_thread_map(block_sum, blocks, p)) / n
     bad = np.count_nonzero(~np.isfinite(values))
@@ -202,42 +232,43 @@ def _field(data, axes, b, axis=None):
     return values
 
 
-def _sum_terms(data, axes, b, axis, cols, block):
+def _tiles(terms, lo, hi, step):
+    """The terms of nodes ``lo`` to ``hi`` - 1, ``step`` nodes a tile."""
+    return [terms.rows(a, min(a + step, hi)) for a in range(lo, hi, step)]
+
+
+def _sum_terms(data, b, cols, block):
     """Sum the per-observation terms over the rows of ``data``, at the
-    axis-0 nodes of ``block`` and every node of the axes >= 1. Rows are
-    split where numpy's pairwise ``sum`` over all of them would split."""
+    axis-0 nodes of ``block`` and every node of the axes >= 1, one
+    axis-0 tile at a time. Rows are split where numpy's pairwise ``sum``
+    over all of them would split."""
     n = data.shape[0]
     if n > cols:
         half = n // 2
         half -= half % 8
-        return (_sum_terms(data[:half], axes, b, axis, cols, block)
-                + _sum_terms(data[half:], axes, b, axis, cols, block))
-    runs, work, weights, prods = block
-    mats = [_kernel_matrix(data[:, j], axes[j], b[j], work[j],
-                           weights if j == axis else None)
-            for j in range(1, len(axes))]
+        return (_sum_terms(data[:half], b, cols, block)
+                + _sum_terms(data[half:], b, cols, block))
+    tiles, work, weights, prods = block
+    obs = [obs_terms(data[None, :, j], b[j], t[0].psi is not None)
+           for j, t in enumerate(tiles)]
+    mats = [_matrix(*args, weights)
+            for args in zip(tiles[1:], obs[1:], work[1:])]
     return np.concatenate([
-        _contract(_kernel_matrix(data[:, 0], r, b[0], work[0],
-                                 weights if axis == 0 else None), mats, prods)
-        for r in runs])
+        _contract(_matrix([t], obs[0], work[0], weights), mats, prods)
+        for t in tiles[0]])
 
 
-def _kernel_matrix(col, nodes, bj, work, weights=None):
-    """The (node x row) kernel matrix of one axis, written into ``work``,
-    times the derivative weights c_i, written into ``weights``, if given."""
-    mat = work[: nodes.size * col.size].reshape(nodes.size, col.size)
-    log_kernel_eval(col[None, :], nodes[:, None], bj, out=mat)
-    np.exp(mat, out=mat)
-    if weights is not None:
-        c = weights[: mat.size].reshape(mat.shape)
-        pos = col > 0.0
-        l_term(np.where(pos, col, 1.0)[None, :], nodes[:, None], bj, out=c)
-        c *= grad_prefactor(nodes, bj)[:, None]
-        # c K = 0 where the observation or the node is 0
-        c[:, ~pos] = 0.0
-        c[nodes == 0.0] = 0.0
-        mat *= c
-    return mat
+def _matrix(tiles, obs, work, weights):
+    """The (node x row) kernel matrix of the node ``tiles`` of one axis,
+    written into ``work`` a tile at a time; on the derivative axis each
+    tile is weighted as it is written, its weights in ``weights``."""
+    k = obs.logt.size
+    lo = 0
+    for t in tiles:
+        hi = lo + t.r1.shape[0]
+        kernel_into(t, obs, work[lo * k: hi * k].reshape(-1, k), weights)
+        lo = hi
+    return work[: lo * k].reshape(lo, k)
 
 
 def _contract(first, mats, prods, out=None):

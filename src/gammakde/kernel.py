@@ -10,6 +10,8 @@ so it integrates to one over [0, inf) and puts no weight on the negative
 axis. The two branches agree at x = 2b where both give shape 2.
 """
 
+from collections import namedtuple
+
 import numpy as np
 from scipy.special import digamma, gammaln
 
@@ -47,6 +49,97 @@ def rho(x, b):
     return r, interior
 
 
+# The kernel's terms that depend on the node x alone and on the data
+# point t alone: a matrix of kernels at m nodes and k points takes
+# O(m + k) logs, lgammas and digammas, and the m * k products go through
+# one routine, ``kernel_into``, that the public functions share.
+class NodeTerms(namedtuple("NodeTerms",
+                           "r1 rlogb lgam at_zero psi slope x_zero")):
+    """Per-node terms: rho - 1, rho ln b, lgamma(rho) and the log kernel
+    at t = 0 (-ln b at shape 1, -inf above it); on the derivative axis
+    also psi(rho), d(rho)/dx and the x = 0 mask. The last three are None
+    off the derivative axis, and the mask is None where no x is 0."""
+
+    __slots__ = ()
+
+    def rows(self, lo, hi):
+        """The terms of nodes ``lo`` to ``hi`` - 1."""
+        return self._make(None if a is None else a[lo:hi] for a in self)
+
+
+class ObsTerms(namedtuple("ObsTerms", "logt tb t_zero lt")):
+    """Per-observation terms: ln t, t/b and the t = 0 mask (None where no
+    t is 0); on the derivative axis also ln t' - ln b, where t' is t, or
+    1 where t = 0 (None off it)."""
+
+    __slots__ = ()
+
+
+def node_terms(x, b, grad=False):
+    """The ``NodeTerms`` at the nodes ``x``, validated as for ``rho``;
+    the derivative's three with ``grad``."""
+    x, b, r, interior = _shape(x, b)
+    logb = np.log(b)
+    psi = slope = x_zero = None
+    if grad:
+        psi = digamma(r)
+        slope = np.where(interior, 1.0 / b, x / (2.0 * b**2))
+        x_zero = _mask(x == 0.0)
+    return NodeTerms(r - 1.0, r * logb, gammaln(r),
+                     np.where(r == 1.0, -logb, -np.inf), psi, slope, x_zero)
+
+
+def obs_terms(t, b, grad=False):
+    """The ``ObsTerms`` of the data points ``t`` (not validated); ln t'
+    - ln b with ``grad``."""
+    t_zero = _mask(t == 0.0)
+    lt = None
+    if grad:
+        lt = np.log(t if t_zero is None else np.where(t_zero, 1.0, t))
+        lt -= np.log(b)
+    return ObsTerms(np.log(t), t / b, t_zero, lt)
+
+
+def _mask(m):
+    """The boolean array ``m``, or None where it has no True entry."""
+    return m if np.any(m) else None
+
+
+def _log_kernel(nodes, obs, out):
+    """Write the log kernel into ``out``: (rho - 1) ln t - t/b - rho ln b
+    - lgamma(rho), then its limit at t = 0, where (rho - 1) ln 0 is -inf
+    for rho > 1 but nan for rho = 1."""
+    np.multiply(nodes.r1, obs.logt, out=out)
+    np.subtract(out, obs.tb, out=out)
+    np.subtract(out, nodes.rlogb, out=out)
+    np.subtract(out, nodes.lgam, out=out)
+    if obs.t_zero is not None:
+        np.copyto(out, nodes.at_zero, where=obs.t_zero)
+    return out
+
+
+def _l(nodes, obs, out=None):
+    """L = (ln t - ln b) - psi(rho), into ``out`` if given."""
+    return np.subtract(obs.lt, nodes.psi, out=out)
+
+
+def kernel_into(nodes, obs, out, work=None):
+    """Write the kernel matrix of ``nodes`` by ``obs`` into ``out``. On
+    the derivative axis (``nodes.psi`` set) it is K c, with
+    c = L d(rho)/dx, and c = 0 where t or x is 0 (the exact limit of
+    c K); c takes ``out.size`` floats of the flat ``work``."""
+    np.exp(_log_kernel(nodes, obs, out), out=out)
+    if nodes.psi is not None:
+        c = _l(nodes, obs, work[: out.size].reshape(out.shape))
+        c *= nodes.slope
+        if obs.t_zero is not None:
+            np.copyto(c, 0.0, where=obs.t_zero)
+        if nodes.x_zero is not None:
+            np.copyto(c, 0.0, where=nodes.x_zero)
+        out *= c
+    return out
+
+
 def log_kernel_eval(t, x, b, out=None):
     """Log of the kernel, with the t = 0 limit handled explicitly.
 
@@ -58,22 +151,14 @@ def log_kernel_eval(t, x, b, out=None):
     t = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(t)) or np.any(t < 0.0):
         raise ValueError("kernel argument t must be finite and >= 0")
-    _, b, r, _ = _shape(x, b)
-    res = out
-    if res is None:
-        res = np.empty(np.broadcast_shapes(t.shape, r.shape))
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        logt = np.log(t)
-        np.multiply(r - 1.0, logt, out=res)
-        np.subtract(res, t / b, out=res)
-        np.subtract(res, r * np.log(b), out=res)
-        np.subtract(res, gammaln(r), out=res)
-    # t == 0: (r-1)*log(0) is -inf for r > 1 but nan for r == 1
-    zero_t = t == 0.0
-    if np.any(zero_t):
-        np.copyto(res, -np.log(b), where=zero_t & (r == 1.0))
-        np.copyto(res, -np.inf, where=zero_t & (r > 1.0))
+        nodes = node_terms(x, b)
+        obs = obs_terms(t, np.asarray(b, dtype=float))
+        res = out
+        if res is None:
+            res = np.empty(np.broadcast_shapes(t.shape, nodes.r1.shape,
+                                               obs.tb.shape))
+        _log_kernel(nodes, obs, res)
     return float(res) if out is None and res.ndim == 0 else res
 
 
@@ -96,15 +181,16 @@ def l_term(t, x, b, out=None):
     t = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
         raise ValueError("l_term requires t > 0")
-    _, b, r, _ = _shape(x, b)
-    res = np.subtract(np.log(t) - np.log(b), digamma(r), out=out)
+    # the terms L does not use may leave the float range
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        res = _l(node_terms(x, b, grad=True),
+                 obs_terms(t, np.asarray(b, dtype=float), grad=True), out)
     return float(res) if out is None and np.ndim(res) == 0 else res
 
 
 def grad_prefactor(x, b):
     """d(rho)/dx over the two branches: 1/b interior, x/(2 b^2) boundary."""
-    x, b, _, interior = _shape(x, b)
-    out = np.where(interior, 1.0 / b, x / (2.0 * b**2))
+    out = node_terms(x, b, grad=True).slope
     return float(out) if out.ndim == 0 else out
 
 

@@ -467,7 +467,8 @@ class TestNodeBlocks:
     @pytest.mark.parametrize("run", [1, 2, 5])
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("d,axis", [
-        (1, None), (1, 0), (2, 0), (2, 1), (3, None), (3, 2),
+        (1, None), (1, 0), (2, 0), (2, 1), (3, None), (3, 2), (4, None),
+        (4, 1),
     ])
     def test_runs_bytes_equal_one_run(self, monkeypatch, pool_sizes, d,
                                       axis, cpus, run):
@@ -476,22 +477,26 @@ class TestNodeBlocks:
         axes = [np.linspace(0.0, 4.0, 11)] + [np.linspace(0.0, 4.0, 6 - j)
                                               for j in range(1, d)]
         kind = "density" if axis is None else "derivative"
-        # chunks of 128 rows, so the runs also meet the row split
+        # chunks of 128 rows, so the tiles also meet the row split; one
+        # tile holds a whole axis
         monkeypatch.setattr(estimator, "_CHUNK_ELEMS", 1)
         _force_blocks(monkeypatch, cpus)
         want = field_on_grid(data, axes, 0.2, kind=kind, axis=axis).values
         pool_sizes.clear()
-        # at most `run` axis-0 nodes per run of 128 columns
-        monkeypatch.setattr(estimator, "_RUN_ELEMS", 128 * run)
+        # tiles of `run` nodes of 128 columns, on every axis
+        monkeypatch.setattr(estimator, "_TILE_ELEMS", 128 * run)
         got = field_on_grid(data, axes, 0.2, kind=kind, axis=axis).values
         assert got.tobytes() == want.tobytes()
-        # the runs of a block stay on its thread
+        # the tiles of a block stay on its thread
         assert pool_sizes == ([cpus] if d == 1 and cpus > 1 else [])
 
     def test_axis0_matrices_stay_under_huge_page_size(self, monkeypatch):
         # the largest Monte Carlo field: 200 nodes by 4000 observations,
-        # whose 6.4 MB matrices numpy would back with huge pages
+        # whose 6.4 MB matrices numpy would back with huge pages, in
+        # tiles of 32 nodes: the kernel tile and the weight tile
         data = _sample(1, n=4000)
+        data[::5] = 0.0
+        axes = [np.linspace(0.0, 8.0, 200)]
         sizes = []
         empty = np.empty
 
@@ -501,9 +506,19 @@ class TestNodeBlocks:
 
         monkeypatch.setattr(np, "empty", recording_empty)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(field_on_grid, data, [np.linspace(0.5, 8.0, 200)],
-                        0.2, kind="derivative", axis=0).result()
-        assert max(sizes) == 100 * 4000 < 1 << 19
+            pool.submit(field_on_grid, data, axes, 0.2, kind="derivative",
+                        axis=0).result()
+        assert sizes == [32 * 4000] * 2
+        assert 32 * 4000 <= estimator._TILE_ELEMS
+        # nor does any temporary exceed a tile: the field's peak is the
+        # two tiles and the per-row and per-node terms
+        tracemalloc.start()
+        try:
+            field_on_grid(data, axes, 0.2, kind="derivative", axis=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * estimator._TILE_ELEMS
 
     @pytest.mark.parametrize("chunk", [None, 1], ids=["default", "smallest"])
     @pytest.mark.parametrize("d,axis", [
@@ -513,35 +528,47 @@ class TestNodeBlocks:
     def test_each_axis_evaluated_once_per_chunk(self, monkeypatch,
                                                 pool_sizes, d, axis, chunk):
         # n * sum_j m_j kernel values per field, and the weights along
-        # the derivative axis only, whatever the chunk count; the field
-        # stays on this thread with four usable CPUs
+        # the derivative axis only, whatever the chunk count; the node
+        # terms once per field, the row terms once per chunk and axis;
+        # the field stays on this thread with four usable CPUs
         n = 1500
         data = _sample(d, n=n, seed=d)
         data[::5, d - 1] = 0.0
         axes = [np.linspace(0.0, 4.0, 7)] + [np.linspace(0.0, 4.0, 6 - j)
                                              for j in range(1, d)]
-        evaluated = {"log_kernel_eval": 0, "l_term": 0}
+        evaluated = {"kernel": 0, "weights": 0, "nodes": 0, "rows": 0}
+        kernel_into = estimator.kernel_into
+        node_terms = estimator.node_terms
+        obs_terms = estimator.obs_terms
 
-        def counting(name):
-            original = getattr(estimator, name)
+        def count_kernel(nodes, obs, out, work=None):
+            evaluated["kernel"] += out.size
+            evaluated["weights"] += 0 if nodes.psi is None else out.size
+            return kernel_into(nodes, obs, out, work)
 
-            def count(t, x, *args, **kwargs):
-                evaluated[name] += np.broadcast(t, x).size
-                return original(t, x, *args, **kwargs)
-            return count
+        def count_nodes(x, *args):
+            evaluated["nodes"] += x.size
+            return node_terms(x, *args)
 
-        for name in evaluated:
-            monkeypatch.setattr(estimator, name, counting(name))
+        def count_rows(t, *args):
+            evaluated["rows"] += t.size
+            return obs_terms(t, *args)
+
+        monkeypatch.setattr(estimator, "kernel_into", count_kernel)
+        monkeypatch.setattr(estimator, "node_terms", count_nodes)
+        monkeypatch.setattr(estimator, "obs_terms", count_rows)
         if chunk is not None:
             monkeypatch.setattr(estimator, "_CHUNK_ELEMS", chunk)
-        # runs of at most 2 axis-0 nodes
-        monkeypatch.setattr(estimator, "_RUN_ELEMS", 256)
+        # tiles of at most 2 nodes
+        monkeypatch.setattr(estimator, "_TILE_ELEMS", 256)
         _force_blocks(monkeypatch, 4)
         kind = "density" if axis is None else "derivative"
         field_on_grid(data, axes, 0.2, kind=kind, axis=axis)
-        assert evaluated["log_kernel_eval"] == n * sum(a.size for a in axes)
-        assert evaluated["l_term"] == (0 if axis is None
-                                       else n * axes[axis].size)
+        assert evaluated["kernel"] == n * sum(a.size for a in axes)
+        assert evaluated["weights"] == (0 if axis is None
+                                        else n * axes[axis].size)
+        assert evaluated["nodes"] == sum(a.size for a in axes)
+        assert evaluated["rows"] == n * d
         assert pool_sizes == []
 
     def test_product_slab_stays_under_huge_page_size(self, monkeypatch):
@@ -550,7 +577,8 @@ class TestNodeBlocks:
         # one node 600 kB
         data = _sample(3, n=3000)
         axes = [np.linspace(0.2, 8.0, 25)] * 3
-        assert 25 * 25 * 3000 > estimator._RUN_ELEMS
+        # floats under 4 MiB, from which numpy asks for huge pages
+        assert 25 * 25 * 3000 > (1 << 19) - 1
         sizes = []
         empty = np.empty
 
@@ -561,7 +589,7 @@ class TestNodeBlocks:
         monkeypatch.setattr(np, "empty", recording_empty)
         _force_blocks(monkeypatch, 2)
         field_on_grid(data, axes, 0.4, kind="derivative", axis=0)
-        assert max(sizes) == 25 * 3000 <= estimator._RUN_ELEMS
+        assert max(sizes) == 25 * 3000 <= (1 << 19) - 1
 
     def test_multivariate_non_finite_field_raises_without_warning(
             self, monkeypatch, pool_sizes):

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import digamma, gammaln
 from scipy.stats import gamma as gamma_dist
 
 from gammakde.kernel import (
     grad_prefactor,
     kernel_eval,
     kernel_grad_x,
+    kernel_into,
     l_term,
     log_kernel_eval,
+    node_terms,
+    obs_terms,
     rho,
 )
 
@@ -214,3 +218,68 @@ class TestOutArgument:
         assert got is buf
         assert buf.tobytes() == want.tobytes()
 
+
+
+def _written_out(t, x, b):
+    """(log K, L, d(rho)/dx) by the kernel's ufunc sequence, written out:
+    the shape on both branches, then the log kernel term by term and its
+    t = 0 limits, and L on t' (t, or 1 where t = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        two_b = 2.0 * b
+        interior = x >= two_b
+        r = np.where(interior, x / b, (x / two_b) ** 2 + 1.0)
+        logk = np.multiply(r - 1.0, np.log(t))
+        logk = np.subtract(logk, t / b)
+        logk = np.subtract(logk, r * np.log(b))
+        logk = np.subtract(logk, gammaln(r))
+    logk = np.where(t == 0.0, np.where(r == 1.0, -np.log(b), -np.inf), logk)
+    lt = np.subtract(np.log(np.where(t == 0.0, 1.0, t)) - np.log(b),
+                     digamma(r))
+    slope = np.where(interior, 1.0 / b, x / (2.0 * b**2))
+    return logk, lt, slope
+
+
+class TestOneFormula:
+    # nodes: x = 0, one so small that its shape rounds to 1, the boundary
+    # branch, x = 2b where the branches meet, and the interior; points at
+    # t = 0 and on both sides of every node
+    X = np.array([0.0, 1e-170, 0.05, 0.2, 1.0, 3.7])[:, None]
+    T = np.array([0.0, 1e-300, 0.02, 0.2, 1.0, 4.0, 60.0])[None, :]
+
+    @pytest.mark.parametrize("b", [0.1, 0.35])
+    def test_public_functions_are_the_written_out_sequence(self, b):
+        logk, lt, slope = _written_out(self.T, self.X, b)
+        pos = self.T[:, 1:]
+        assert log_kernel_eval(self.T, self.X, b).tobytes() == logk.tobytes()
+        assert kernel_eval(self.T, self.X, b).tobytes() == \
+            np.exp(logk).tobytes()
+        assert l_term(pos, self.X, b).tobytes() == lt[:, 1:].tobytes()
+        assert grad_prefactor(self.X, b).tobytes() == slope.tobytes()
+        want = slope * np.exp(logk[:, 1:]) * lt[:, 1:]
+        assert kernel_grad_x(pos, self.X, b).tobytes() == want.tobytes()
+        # and one point at a time
+        for i, j in np.ndindex(logk.shape):
+            t, x = self.T[0, j], self.X[i, 0]
+            assert np.float64(log_kernel_eval(t, x, b)).tobytes() == \
+                logk[i, j].tobytes()
+            if t > 0.0:
+                assert np.float64(kernel_grad_x(t, x, b)).tobytes() == \
+                    want[i, j - 1].tobytes()
+
+    @pytest.mark.parametrize("b", [0.1, 0.35])
+    def test_kernel_tile_is_the_written_out_sequence(self, b):
+        # the estimator's tiles: K, and on the derivative axis K c with
+        # c = L d(rho)/dx, set to 0 where t or x is 0
+        logk, lt, slope = _written_out(self.T, self.X, b)
+        c = lt * slope
+        c[:, self.T[0] == 0.0] = 0.0
+        c[self.X[:, 0] == 0.0] = 0.0
+        for grad, want in ((False, np.exp(logk)), (True, np.exp(logk) * c)):
+            got = np.full(want.shape, np.nan)
+            work = np.full(2 * want.size, np.nan)
+            # as the estimator calls it: ln 0 and (1 - 1) ln 0 on the way
+            # to the t = 0 limits
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kernel_into(node_terms(self.X, b, grad),
+                            obs_terms(self.T, b, grad), got, work)
+            assert got.tobytes() == want.tobytes()

@@ -6,7 +6,8 @@ parameters in [1e-300, 1e300], either exit 0 and print and write only
 finite numbers, or are a usage error: exit 2 and one error line, with no
 traceback. None of them raises a numpy warning. ``load_sample``
 reads any mix of headers, comments, blank lines and delimiters exactly
-as the line parser does, or both refuse the file.
+as the line parser does, or both refuse the file. The kernel tile size
+does not change a single bit of a field.
 """
 
 import contextlib
@@ -16,14 +17,16 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gammakde import estimator
 from gammakde.cli import main
-from gammakde.estimator import _load_lines, load_sample
+from gammakde.estimator import _load_lines, field_on_grid, load_sample
 
 # a zero, values on both sides of 1, and a tie
 ROWS = "0.0\n0.25\n1.0\n1.0\n3.7\n"
@@ -199,3 +202,36 @@ def test_loader_matches_line_parser(text):
     else:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def tiled_fields(draw):
+    """(sample, axes, b, kind, axis) of a field of d = 1 to 3 whose rows
+    and nodes include zeros."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 99))))
+    data = rng.gamma(2.0, size=(n, d))
+    for j in range(d):
+        data[::draw(st.integers(min_value=1, max_value=9)), j] = 0.0
+    axes = [np.linspace(draw(st.sampled_from([0.0, 0.3])), 5.0,
+                        draw(st.integers(min_value=1, max_value=12)))
+            for _ in range(d)]
+    b = draw(st.floats(min_value=0.05, max_value=2.0))
+    kind = draw(kinds)
+    axis = draw(st.integers(min_value=0, max_value=d - 1))
+    return data, axes, b, kind, axis
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(field=tiled_fields(), tile=st.integers(min_value=1, max_value=12))
+def test_tile_size_leaves_field_bytes(field, tile):
+    # chunks of 128 rows; a tile of one node up to a whole axis against
+    # the default, a whole axis per tile
+    data, axes, b, kind, axis = field
+    cols = min(128, data.shape[0])
+    with mock.patch.object(estimator, "_CHUNK_ELEMS", 1):
+        want = field_on_grid(data, axes, b, kind, axis).values
+        with mock.patch.object(estimator, "_TILE_ELEMS", tile * cols):
+            got = field_on_grid(data, axes, b, kind, axis).values
+    assert got.tobytes() == want.tobytes()
