@@ -313,6 +313,9 @@ def mixing_bandwidth(m, n, mp):
             "the covariance bound changes sign at 1/3 and its fractional "
             "power is complex below it"
         )
+    if mp.alpha_integral == 0.0:
+        raise ValueError("mixing rule needs alpha_integral > 0: at 0 the "
+                         "covariance bound and the rule constant vanish")
 
     def integrands(x, f, _):
         return [_mixing_weight(x, u) * f ** (1.0 - u)]

@@ -8,6 +8,9 @@ with scale b and shape
 
 so it integrates to one over [0, inf) and puts no weight on the negative
 axis. The two branches agree at x = 2b where both give shape 2.
+
+Fields and every public function below build the same node and
+observation terms once per call and write through ``kernel_into``.
 """
 
 from collections import namedtuple
@@ -49,10 +52,9 @@ def rho(x, b):
     return r, interior
 
 
-# The kernel's terms that depend on the node x alone and on the data
-# point t alone: a matrix of kernels at m nodes and k points takes
-# O(m + k) logs, lgammas and digammas, and the m * k products go through
-# one routine, ``kernel_into``, that the public functions share.
+# Terms that depend on the node x alone and on the point t alone, shared
+# by fields and every public function: m nodes and k points take O(m + k)
+# logs, lgammas and digammas; the m * k products go through kernel_into.
 class NodeTerms(namedtuple("NodeTerms",
                            "r1 rlogb lgam at_zero psi slope x_zero")):
     """Per-node terms: rho - 1, rho ln b, lgamma(rho) and the log kernel
@@ -118,8 +120,8 @@ def _log_kernel(nodes, obs, out):
     return out
 
 
-def _l(nodes, obs, out=None):
-    """L = (ln t - ln b) - psi(rho), into ``out`` if given."""
+def _l(nodes, obs, out):
+    """Write L = (ln t - ln b) - psi(rho) into ``out``."""
     return np.subtract(obs.lt, nodes.psi, out=out)
 
 
@@ -140,26 +142,33 @@ def kernel_into(nodes, obs, out, work=None):
     return out
 
 
-def log_kernel_eval(t, x, b, out=None):
+def _terms(t, x, b, grad=False):
+    """Validate t (> 0 with ``grad``) and return the ``NodeTerms`` of x,
+    the ``ObsTerms`` of t and an empty array of their broadcast shape."""
+    t = np.asarray(t, dtype=float)
+    if np.any(~np.isfinite(t)) or np.any(t < 0.0):
+        raise ValueError("kernel argument t must be finite and >= 0")
+    if grad and np.any(t == 0.0):
+        raise ValueError("l_term requires t > 0")
+    nodes = node_terms(x, b, grad)
+    obs = obs_terms(t, np.asarray(b, dtype=float), grad)
+    shape = np.broadcast_shapes(t.shape, nodes.r1.shape, obs.tb.shape)
+    return nodes, obs, np.empty(shape)
+
+
+def _scalar(out):
+    """``out`` as a float where it is 0-d."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def log_kernel_eval(t, x, b):
     """Log of the kernel, with the t = 0 limit handled explicitly.
 
     At t = 0 the kernel is 0 for shape > 1 and 1/b for shape = 1 (which
     occurs only at x = 0); the log is -inf and -ln b respectively.
-    ``out``, as for a numpy ufunc, is an array of the broadcast shape to
-    write the result into; it is returned.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(t)) or np.any(t < 0.0):
-        raise ValueError("kernel argument t must be finite and >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
-        nodes = node_terms(x, b)
-        obs = obs_terms(t, np.asarray(b, dtype=float))
-        res = out
-        if res is None:
-            res = np.empty(np.broadcast_shapes(t.shape, nodes.r1.shape,
-                                               obs.tb.shape))
-        _log_kernel(nodes, obs, res)
-    return float(res) if out is None and res.ndim == 0 else res
+        return _scalar(_log_kernel(*_terms(t, x, b)))
 
 
 def kernel_eval(t, x, b):
@@ -167,38 +176,28 @@ def kernel_eval(t, x, b):
 
     Computed in log space; t = 0 returns the exact limit.
     """
-    out = np.exp(log_kernel_eval(t, x, b))
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(np.exp(log_kernel_eval(t, x, b)))
 
 
-def l_term(t, x, b, out=None):
+def l_term(t, x, b):
     """L(t, x, b) = ln t - ln b - Psi(rho(x, b)).
 
     The factor turning the kernel into its own x-derivative. Requires
-    t > 0 (log singularity at 0). ``out`` is a destination array, as
-    for a numpy ufunc.
+    t > 0 (log singularity at 0).
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(~np.isfinite(t)) or np.any(t <= 0.0):
-        raise ValueError("l_term requires t > 0")
     # the terms L does not use may leave the float range
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        res = _l(node_terms(x, b, grad=True),
-                 obs_terms(t, np.asarray(b, dtype=float), grad=True), out)
-    return float(res) if out is None and np.ndim(res) == 0 else res
+        return _scalar(_l(*_terms(t, x, b, grad=True)))
 
 
 def grad_prefactor(x, b):
     """d(rho)/dx over the two branches: 1/b interior, x/(2 b^2) boundary."""
-    out = node_terms(x, b, grad=True).slope
-    return float(out) if out.ndim == 0 else out
+    return _scalar(node_terms(x, b, grad=True).slope)
 
 
 def kernel_grad_x(t, x, b):
-    """Partial derivative of the kernel in the evaluation coordinate x.
-
-    Interior branch: (1/b) K L; boundary branch: (x/(2 b^2)) K L with the
-    boundary shape and L. Requires t > 0.
-    """
-    out = grad_prefactor(x, b) * kernel_eval(t, x, b) * l_term(t, x, b)
-    return float(out) if np.ndim(out) == 0 else out
+    """Partial derivative of the kernel in the evaluation coordinate x:
+    K L d(rho)/dx, written as the fields' derivative tiles are by
+    ``kernel_into``, so 0 at x = 0. Requires t > 0."""
+    nodes, obs, out = _terms(t, x, b, grad=True)
+    return _scalar(kernel_into(nodes, obs, out, np.empty(out.size)))

@@ -73,8 +73,14 @@ class MixingProfile:
             raise ValueError("upsilon must lie strictly inside (0, 1)")
         if not 0.0 < self.kappa < 0.5:
             raise ValueError("kappa must lie strictly inside (0, 1/2)")
-        if self.alpha_integral < 0.0 or self.alpha_sum < 0.0:
-            raise ValueError("alpha integrals must be nonnegative")
+        given = [("alpha_integral", self.alpha_integral),
+                 ("alpha_sum", self.alpha_sum)]
+        if self.M is not None:
+            given.append(("M", self.M))
+        for name, value in given:
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value}")
 
 
 def _check_bandwidth(b):

@@ -242,6 +242,22 @@ BAD_INPUT = {
                          "--rule plugin --stages 2",
     "bandwidth-pilot-zero": "bandwidth --which density --n 60 "
                             "--model data:{flat} --stages 2",
+    # b0 from the moment-matched scale of a sample with one far outlier
+    # exceeds half its 0.999 quantile
+    "plugin-pilot-collapsed": "estimate --input {spike} --output {out} "
+                              "--rule plugin --stages 2",
+    "bandwidth-pilot-collapsed": "bandwidth --which density --n 1000 "
+                                 "--model data:{spike} --stages 2",
+    # mixing integrals that are not finite, or 0
+    "alpha-integral-inf": "bandwidth --which density --n 1000 "
+                          "--model gamma:3.0,1.0 --upsilon 0.5 "
+                          "--alpha-integral inf",
+    "alpha-integral-nan": "bandwidth --which density --n 1000 "
+                          "--model gamma:3.0,1.0 --upsilon 0.5 "
+                          "--alpha-integral nan",
+    "alpha-integral-zero": "bandwidth --which density --n 1000 "
+                           "--model gamma:3.0,1.0 --upsilon 0.5 "
+                           "--alpha-integral 0",
     # every ISE underflows to 0, so log MISE is -inf
     "simulate-ise-zero": "simulate --output {out} --seed 1 "
                          "--n-grid 5,10,20 --replicates 2 --b 1.9 "
@@ -294,6 +310,13 @@ BAD_INPUT_MESSAGE = {
     "simulate-rule-zero": "the rule needs a finite positive integral",
     "plugin-pilot-zero": "the rule needs a finite positive integral",
     "bandwidth-pilot-zero": "the rule needs a finite positive integral",
+    "plugin-pilot-collapsed": "pilot grid collapsed: bandwidth too large "
+                              "for data",
+    "bandwidth-pilot-collapsed": "pilot grid collapsed: bandwidth too large "
+                                 "for data",
+    "alpha-integral-inf": "alpha_integral must be finite and >= 0, got inf",
+    "alpha-integral-nan": "alpha_integral must be finite and >= 0, got nan",
+    "alpha-integral-zero": "mixing rule needs alpha_integral > 0",
     "simulate-ise-zero": "rate fit needs a finite positive MISE, got 0",
     "simulate-ise-not-finite": "n=5: 0 of 2 replicates have a finite ISE",
 }
@@ -333,11 +356,14 @@ def _assert_usage_error(tmp_path, capsys, key):
     pair.write_text("1.0,2.0\n2.0,1.0\n0.5,0.7\n")
     flat = tmp_path / "flat.csv"
     flat.write_text("1.0\n" * 59 + "1.000000000000001\n")
+    spike = tmp_path / "spike.csv"
+    spike.write_text("".join(f"{(i + 0.5) / 9999!r}\n" for i in range(9999))
+                     + "1000000.0\n")
     inf = tmp_path / "inf.csv"
     inf.write_text("1.0\n2.0\ninf\n")
     out = tmp_path / "out.csv"
-    argv = [a.format(mini=MINI, short=short, pair=pair, flat=flat, inf=inf,
-                     out=out)
+    argv = [a.format(mini=MINI, short=short, pair=pair, flat=flat,
+                     spike=spike, inf=inf, out=out)
             for a in BAD_INPUT[key].split()]
     with pytest.raises(SystemExit) as exc:
         main(argv)

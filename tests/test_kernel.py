@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import digamma, gammaln
 from scipy.stats import gamma as gamma_dist
 
+from gammakde import kernel
 from gammakde.kernel import (
     grad_prefactor,
     kernel_eval,
@@ -108,6 +109,15 @@ class TestKernelEval:
         assert mean == pytest.approx(r * b, abs=1e-6)
         assert var == pytest.approx(r * b * b, abs=1e-6)
 
+    @pytest.mark.parametrize("fn", [log_kernel_eval, kernel_eval])
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+    def test_refuses_bad_t(self, fn, t):
+        msg = "kernel argument t must be finite and >= 0"
+        with pytest.raises(ValueError, match=msg):
+            fn(t, 1.0, 0.1)
+        with pytest.raises(ValueError, match=msg):
+            fn(np.array([0.0, 0.5, t]), 1.0, 0.1)
+
     def test_interior_mean_is_x(self):
         # interior shape x/b gives mean exactly x
         mean = quad(lambda t: t * kernel_eval(t, 1.0, 0.05), 0, 10,
@@ -183,41 +193,17 @@ class TestKernelGradX:
         fd = (kernel_eval(t, x + h, b) - kernel_eval(t, x - h, b)) / (2 * h)
         assert kernel_grad_x(t, x, b) == pytest.approx(fd, rel=1e-5)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_requires_positive_t(self, t):
+        with pytest.raises(ValueError):
+            kernel_grad_x(t, 1.0, 0.1)
+        with pytest.raises(ValueError):
+            kernel_grad_x(np.array([0.5, t]), 0.0, 0.1)
+
     def test_integrates_to_zero(self):
         # d/dx of a normalized family: integral of the gradient is 0
         total = quad(kernel_grad_x, 1e-12, 12.0, args=(1.0, 0.1), limit=200)[0]
         assert total == pytest.approx(0.0, abs=1e-8)
-
-
-class TestOutArgument:
-    # nodes at 0 (shape 1), on the boundary branch and on the interior
-    # branch; the engine writes into views of one flat workspace
-    B = 0.1
-    X = np.array([0.0, 0.05, 0.15, 1.0])[:, None]
-
-    def _buffer(self, shape):
-        size = int(np.prod(shape))
-        return np.full(2 * size, np.nan)[:size].reshape(shape)
-
-    def test_log_kernel_eval_fills_out(self):
-        t = np.array([0.0, 0.02, 0.3, 1.0, 4.0])[None, :]
-        want = log_kernel_eval(t, self.X, self.B)
-        buf = self._buffer(want.shape)
-        got = log_kernel_eval(t, self.X, self.B, out=buf)
-        assert got is buf
-        assert buf.tobytes() == want.tobytes()
-        # the t = 0 limits: -ln b at shape 1 (x = 0), -inf for x > 0
-        assert buf[0, 0] == -np.log(self.B)
-        assert np.all(buf[1:, 0] == -np.inf)
-
-    def test_l_term_fills_out(self):
-        t = np.array([0.02, 0.3, 1.0, 4.0])[None, :]
-        want = l_term(t, self.X, self.B)
-        buf = self._buffer(want.shape)
-        got = l_term(t, self.X, self.B, out=buf)
-        assert got is buf
-        assert buf.tobytes() == want.tobytes()
-
 
 
 def _written_out(t, x, b):
@@ -239,6 +225,15 @@ def _written_out(t, x, b):
     return logk, lt, slope
 
 
+def _grad_tile(t, x, logk, lt, slope):
+    """The estimator's derivative tile: K c with c = L d(rho)/dx, set to
+    0 where t or x is 0."""
+    c = lt * slope
+    c[:, t[0] == 0.0] = 0.0
+    c[x[:, 0] == 0.0] = 0.0
+    return np.exp(logk) * c
+
+
 class TestOneFormula:
     # nodes: x = 0, one so small that its shape rounds to 1, the boundary
     # branch, x = 2b where the branches meet, and the interior; points at
@@ -255,7 +250,7 @@ class TestOneFormula:
             np.exp(logk).tobytes()
         assert l_term(pos, self.X, b).tobytes() == lt[:, 1:].tobytes()
         assert grad_prefactor(self.X, b).tobytes() == slope.tobytes()
-        want = slope * np.exp(logk[:, 1:]) * lt[:, 1:]
+        want = _grad_tile(self.T, self.X, logk, lt, slope)[:, 1:]
         assert kernel_grad_x(pos, self.X, b).tobytes() == want.tobytes()
         # and one point at a time
         for i, j in np.ndindex(logk.shape):
@@ -271,10 +266,8 @@ class TestOneFormula:
         # the estimator's tiles: K, and on the derivative axis K c with
         # c = L d(rho)/dx, set to 0 where t or x is 0
         logk, lt, slope = _written_out(self.T, self.X, b)
-        c = lt * slope
-        c[:, self.T[0] == 0.0] = 0.0
-        c[self.X[:, 0] == 0.0] = 0.0
-        for grad, want in ((False, np.exp(logk)), (True, np.exp(logk) * c)):
+        tile = _grad_tile(self.T, self.X, logk, lt, slope)
+        for grad, want in ((False, np.exp(logk)), (True, tile)):
             got = np.full(want.shape, np.nan)
             work = np.full(2 * want.size, np.nan)
             # as the estimator calls it: ln 0 and (1 - 1) ln 0 on the way
@@ -283,3 +276,20 @@ class TestOneFormula:
                 kernel_into(node_terms(self.X, b, grad),
                             obs_terms(self.T, b, grad), got, work)
             assert got.tobytes() == want.tobytes()
+
+
+class TestTermsOnce:
+    # each public function validates its input and builds each kind of
+    # term once per call
+    @pytest.mark.parametrize("fn", [log_kernel_eval, kernel_eval, l_term,
+                                    kernel_grad_x])
+    @pytest.mark.parametrize("t", [0.7, np.array([[0.3, 1.0, 4.0]])])
+    def test_one_build_per_call(self, monkeypatch, fn, t):
+        calls = []
+        for name in ("node_terms", "obs_terms"):
+            def counted(*args, _name=name, _f=getattr(kernel, name), **kw):
+                calls.append(_name)
+                return _f(*args, **kw)
+            monkeypatch.setattr(kernel, name, counted)
+        fn(t, np.array([[0.0], [0.05], [1.0]]), 0.1)
+        assert sorted(calls) == ["node_terms", "obs_terms"]

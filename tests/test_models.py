@@ -317,6 +317,17 @@ class TestFromPdf:
         x = np.array([[1.0, 0.9]])
         assert numeric.mixed(x, 0, 1)[0] == pytest.approx(
             analytic.mixed(x, 0, 1)[0], rel=1e-4)
+        # the cross third and the diagonal mixed stencils, at a point
+        # where none of the four analytic values is near 0 or equal to
+        # another (at x = (1, 0.9) third(x, 0, 1) is near 0, and
+        # third(x, 1, 0) equals mixed(x, 1, 1))
+        x = np.array([[0.8, 0.7]])
+        for j, i in ((0, 1), (1, 0)):
+            assert numeric.third(x, j, i)[0] == pytest.approx(
+                analytic.third(x, j, i)[0], rel=1e-3)
+        for a in (0, 1):
+            assert numeric.mixed(x, a, a)[0] == pytest.approx(
+                analytic.mixed(x, a, a)[0], rel=1e-4)
 
     def test_validation_catches_wrong_gradient(self):
         from gammakde.models import DensityModel

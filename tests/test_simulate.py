@@ -248,7 +248,8 @@ class TestMcMise:
         mises = [m for _n, m, _se in res.summary]
         assert mises[0] > mises[2]
 
-    def test_non_finite_ise_excluded_and_counted(self, monkeypatch):
+    def test_non_finite_ise_excluded_and_counted(self, monkeypatch,
+                                                 tmp_path):
         # every third quadrature fails: replicates 0,3,6 | 1,4,7 | 2,5
         calls = itertools.count()
         real = simulate.trapezoid_nd
@@ -263,6 +264,14 @@ class TestMcMise:
             kept = [ise for m, _r, ise in res.records if m == n]
             assert np.all(np.isfinite(kept))
             assert mise == np.mean(kept)
+        # the export counts them after the summary block, by sample size
+        p = tmp_path / "out.csv"
+        export_result(res, p)
+        lines = p.read_text().splitlines()
+        end = lines.index("# summary: n,mise,stderr") + 1 + len(res.summary)
+        assert lines[end:] == ["# excluded: n=100 replicates=3",
+                               "# excluded: n=200 replicates=3",
+                               "# excluded: n=400 replicates=2"]
 
     def test_export_round_trip(self, tmp_path):
         res = mc_mise(self._config())

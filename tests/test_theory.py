@@ -243,6 +243,16 @@ class TestCovarianceBounds:
             MixingProfile(upsilon=0.5, alpha_integral=1.0, kappa=0.5)
         with pytest.raises(ValueError):
             MixingProfile(upsilon=0.5, alpha_integral=-1.0)
+        # integrals that are not finite, and a joint-density bound M that
+        # is negative or not finite
+        for field, value in [("alpha_integral", np.inf),
+                             ("alpha_integral", np.nan),
+                             ("alpha_sum", np.inf), ("alpha_sum", np.nan),
+                             ("M", -1.0), ("M", np.inf), ("M", np.nan)]:
+            kw = {"upsilon": 0.5, "alpha_integral": 1.0, field: value}
+            with pytest.raises(ValueError, match=f"{field} must be finite "
+                                                 f"and >= 0, got {value}"):
+                MixingProfile(**kw)
 
 
 class TestMiseLeading:
