@@ -78,7 +78,7 @@ class BandwidthRule:
 
 
 # past the float range an integrand is inf or nan, which the slab check
-# refuses; numpy's error state is per thread, so each slab sets its own
+# (on the grid) or ``_check_integrals`` (axis by axis) refuses
 @np.errstate(all="ignore")
 def _power_sub_integrals(m, integrands, p, names, curvature=True):
     """Integrals over model m's box after the substitution x_j = u_j^p.
@@ -89,28 +89,32 @@ def _power_sub_integrals(m, integrands, p, names, curvature=True):
     per name; the p u^(p-1) Jacobian is applied here. The substitution
     removes the x^(-1/2) origin weights of an integrable reference. The
     box runs from a tiny cutoff to the per-axis quantile leaving out 1e-7
-    of the mass; a probe first refuses an integrand that diverges at the
-    origin. The grid has _RULE_NODES[d] nodes per axis, so d >= 4 is
-    refused before anything is built.
+    of the mass, which must be finite; a probe first refuses an
+    integrand that diverges at the origin.
 
-    The per-axis factors (x = u^p, the Jacobian, a product model's
-    marginals) are computed once. The grid is integrated in slabs of
-    axis 0 of about _SLAB_ELEMS = 2^16 nodes, whose temporaries stay in
-    cache (BENCH_rule-slabs.json): each slab by ``trapezoid_nd`` over its
-    other axes, then the rows over axis 0, bitwise the iterated trapezoid
-    rule of the whole grid. Behind the gate ``estimator._workers``, a grid
-    of at least 2^20 nodes (d = 3) from the main thread runs its slabs on
-    the usable CPUs, and any other on the calling thread; the integrals
-    have the same bits for any slab size and CPU count.
+    A product model at d >= 3 takes ``_Separable`` factors on
+    _RULE_NODES[1] nodes: each integrand is a sum of products of 1-d
+    arrays, integrated as products of 1-d trapezoid rules, at any d.
+    Other models (d <= 3) and products at d <= 2 (whose golden bytes
+    stay) take the open grid of _RULE_NODES[d] nodes per axis, in slabs
+    of axis 0 of about _SLAB_ELEMS = 2^16 nodes whose temporaries stay
+    in cache (BENCH_rule-slabs.json), bitwise the iterated trapezoid
+    rule of the whole grid.
     """
-    if m.dim > 3:
-        raise ValueError("rule integrals support at most 3 dimensions "
-                         f"(tau <= 2), got d={m.dim}")
+    d = m.dim
+    separable = m.marginals is not None and d >= 3
+    if d > 3 and not separable:
+        raise ValueError("rule integrals of a model without marginals "
+                         f"support at most 3 dimensions (tau <= 2), got d={d}")
     if m.quantile is None:
         raise ValueError("model has no quantile function to bound the "
                          "rule integrals")
-    u_hi = np.asarray(m.quantile(1.0 - 1e-7), dtype=float) ** (1.0 / p)
-    d = len(u_hi)
+    q_hi = np.asarray(m.quantile(1.0 - 1e-7), dtype=float)
+    if not np.all(np.isfinite(q_hi)):
+        j = int(np.argmin(np.isfinite(q_hi)))
+        raise ValueError(f"the model's 1 - 1e-7 quantile on axis {j} is "
+                         f"{q_hi[j]}; the rule integrals need a finite box")
+    u_hi = q_hi ** (1.0 / p)
 
     # Origin-divergence test: near the origin face an integrand behaves
     # like a per-axis power u_j^a; its integral diverges iff a <= -1 on
@@ -119,10 +123,10 @@ def _power_sub_integrals(m, integrands, p, names, curvature=True):
     cut = 1e-6 * np.min(u_hi)
     mid = 0.5 * u_hi
 
-    def factors(u):
-        # per-axis Jacobians and model terms of the open grid of u-axes
+    def factors(u, grid=np.ix_):
+        # per-axis Jacobians and model terms of the u-axes' open grid
         return ([p * a ** (p - 1.0) for a in u],
-                _axis_terms(m, np.ix_(*[a**p for a in u]), curvature))
+                _axis_terms(m, grid(*[a**p for a in u]), curvature))
 
     def _w(j, uj):
         u = mid.copy()
@@ -142,14 +146,24 @@ def _power_sub_integrals(m, integrands, p, names, curvature=True):
                     "reference keeps it finite)"
                 )
 
-    nodes = _RULE_NODES[d]
+    nodes = _RULE_NODES[1 if separable else d]
     axes = [np.linspace(0.25 * cut, uh, nodes) for uh in u_hi]
+    if separable:
+        # each per-axis array is a product with ones on the other axes
+        jacs, terms = factors(axes, lambda *x: x)
+        ones = [1.0] * d
+        sep = [[_Separable([ones[:j] + [a] + ones[j + 1:]]) for a in [c] + t]
+               for j, (c, t) in enumerate(zip(jacs, terms))]
+        vals = _weighted(m, integrands, [t[0] for t in sep],
+                         [t[1:] for t in sep], curvature)
+        return [float(sum(np.prod(list(map(np.trapezoid, t, axes)))
+                          for t in v.terms)) for v in vals]
+
     jacs, terms = factors(axes)
     rows = max(1, _SLAB_ELEMS // nodes ** (d - 1))
     out = [np.empty(nodes) for _ in names]
-
-    @np.errstate(all="ignore")
-    def integrate_slab(slab):
+    for lo in range(0, nodes, rows):
+        slab = slice(lo, lo + rows)
         vals = _weighted(m, integrands, [jacs[0][slab]] + jacs[1:],
                          [[t[slab] for t in terms[0]]] + terms[1:],
                          curvature)
@@ -159,11 +173,40 @@ def _power_sub_integrals(m, integrands, p, names, curvature=True):
                     f"{name}: non-finite integrand near the origin"
                 )
             acc[slab] = trapezoid_nd(v, axes[1:])
-
-    slabs = [slice(lo, lo + rows) for lo in range(0, nodes, rows)]
-    estimator._thread_map(integrate_slab, slabs,
-                          estimator._workers(len(slabs), nodes ** d))
     return [trapezoid_nd(acc, axes[:1]) for acc in out]
+
+
+class _Separable:
+    """A sum of products of per-axis 1-d arrays, sum_k prod_j a_kj, on
+    which the open-grid code builds a product model's integrands: a sum
+    joins the products, a product multiplies them out, a constant goes
+    onto axis 0, and a power other than 2 takes a single product."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __add__(self, other):
+        return _Separable(self.terms + other.terms)
+
+    def __mul__(self, other):
+        if isinstance(other, _Separable):
+            return _Separable([[a * b for a, b in zip(s, o)]
+                               for s in self.terms for o in other.terms])
+        return _Separable([[t[0] * other] + t[1:] for t in self.terms])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * other**-1.0
+
+    def __pow__(self, e):
+        if e == 2:
+            return self * self
+        [t] = self.terms
+        return _Separable([[a**e for a in t]])
+
+    def sqrt(self):  # what np.sqrt calls
+        return self**0.5
 
 
 def _axis_terms(m, x, curvature=True):
@@ -376,7 +419,7 @@ def _pilot_functionals(data, b, which):
     and the expansions are both unreliable there.
     """
     d = data.shape[1]
-    nodes = {1: 400, 2: 60}.get(d, 25)
+    nodes = {1: 400, 2: 60, 3: 25}[d]
     lo = 2.0 * b
     hi = np.quantile(data, 0.999, axis=0)
     if np.any(hi <= lo):
@@ -409,6 +452,9 @@ def plug_in_bandwidth(sample, which="density", stages=1):
         raise ValueError("plug-in rule needs at least 50 observations")
     if stages not in (1, 2):
         raise ValueError("stages must be 1 or 2")
+    if stages == 2 and d > 3:
+        raise ValueError("the two-stage plug-in rule supports at most 3 "
+                         f"dimensions (tau <= 2), got d={d}")
     if which not in ("density", "derivative"):
         raise ValueError("which must be 'density' or 'derivative'")
 

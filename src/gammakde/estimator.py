@@ -35,9 +35,9 @@ bits.
 
 A 1-d field of at least 2^20 kernel values (n * m_0) computed on the
 main thread is cut into p = min(usable CPUs, m_0) contiguous blocks of
-its nodes, one thread each (``_workers``, the gate of the rule slabs
-too); ``cols`` comes from the full grid, so the bytes do not depend on
-the CPU count. Other fields stay on the calling thread
+its nodes, one thread each (``_workers``); ``cols`` comes from the
+full grid, so the bytes do not depend on the CPU count. Other fields
+and the bandwidth rules stay on the calling thread
 (``BENCH_axes-once.json``).
 """
 
@@ -72,8 +72,8 @@ _CHUNK_ELEMS = 1 << 20
 # numpy sums a block of up to 128 terms in one pass, without splitting it,
 # so no chunk is made smaller (and under 16 rows half would round to 0)
 _PAIRWISE_BLOCK = 128
-# values from which work is split over threads: the kernel values of a
-# 1-d field (n times the node count), or the nodes of a rule grid
+# kernel values of a 1-d field (n times the node count) from which its
+# nodes are split over threads
 _SPLIT_ELEMS = 1 << 20
 # float64 elements of a kernel tile (1 MB): a tile and its weight tile
 # are written, weighted and contracted while they sit in a 2 MiB L2.

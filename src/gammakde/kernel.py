@@ -143,13 +143,11 @@ def kernel_into(nodes, obs, out, work=None):
 
 
 def _terms(t, x, b, grad=False):
-    """Validate t (> 0 with ``grad``) and return the ``NodeTerms`` of x,
-    the ``ObsTerms`` of t and an empty array of their broadcast shape."""
+    """Validate t and return the ``NodeTerms`` of x, the ``ObsTerms`` of
+    t and an empty array of their broadcast shape."""
     t = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(t)) or np.any(t < 0.0):
         raise ValueError("kernel argument t must be finite and >= 0")
-    if grad and np.any(t == 0.0):
-        raise ValueError("l_term requires t > 0")
     nodes = node_terms(x, b, grad)
     obs = obs_terms(t, np.asarray(b, dtype=float), grad)
     shape = np.broadcast_shapes(t.shape, nodes.r1.shape, obs.tb.shape)
@@ -187,7 +185,10 @@ def l_term(t, x, b):
     """
     # the terms L does not use may leave the float range
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _scalar(_l(*_terms(t, x, b, grad=True)))
+        nodes, obs, out = _terms(t, x, b, grad=True)
+    if obs.t_zero is not None:
+        raise ValueError("l_term requires t > 0")
+    return _scalar(_l(nodes, obs, out))
 
 
 def grad_prefactor(x, b):
@@ -198,6 +199,7 @@ def grad_prefactor(x, b):
 def kernel_grad_x(t, x, b):
     """Partial derivative of the kernel in the evaluation coordinate x:
     K L d(rho)/dx, written as the fields' derivative tiles are by
-    ``kernel_into``, so 0 at x = 0. Requires t > 0."""
-    nodes, obs, out = _terms(t, x, b, grad=True)
-    return _scalar(kernel_into(nodes, obs, out, np.empty(out.size)))
+    ``kernel_into``, so 0 at t = 0 and at x = 0, the exact limits."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nodes, obs, out = _terms(t, x, b, grad=True)
+        return _scalar(kernel_into(nodes, obs, out, np.empty(out.size)))

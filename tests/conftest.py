@@ -10,10 +10,10 @@ from gammakde import estimator
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The thread count of each pool ``estimator._thread_map`` opens, in
-    order: node blocks, rule slabs and Monte Carlo replicates alike.
-    Node blocks and rule slabs open one only past the gate they share,
-    ``estimator._workers`` (2^20 values, on the main thread); a test of
-    their pools on a small grid sets ``estimator._SPLIT_ELEMS`` to 0."""
+    order: node blocks and Monte Carlo replicates alike. Node blocks open
+    one only past their gate, ``estimator._workers`` (2^20 values, on the
+    main thread); a test of their pool on a small grid sets
+    ``estimator._SPLIT_ELEMS`` to 0. The bandwidth rules open none."""
     sizes = []
 
     class Recording(ThreadPoolExecutor):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from gammakde import bandwidth, estimator
 from gammakde.bandwidth import (
@@ -151,9 +151,8 @@ class TestSeparableReference:
         assert rule.C == pytest.approx(want, rel=2e-5)
 
     def test_three_dimensional_density_rule(self):
-        # num = (int g/(2 sqrt(pi x)))^3, den = 3 A B^2 + 6 D^2 B; the
-        # 301^3 grid is integrated in slabs, so the peak stays well below
-        # the dozen 218 MB full-grid arrays its integrands would take
+        # num = (int g/(2 sqrt(pi x)))^3, den = 3 A B^2 + 6 D^2 B; taken
+        # axis by axis, the integrals need no 3-d array
         g, g2, quad = self._g, self._g2, self._quad
         num = quad(lambda x: g(x) / (2.0 * np.sqrt(np.pi * x))) ** 3
         A = quad(lambda x: (x * g2(x)) ** 2)
@@ -168,6 +167,125 @@ class TestSeparableReference:
             tracemalloc.stop()
         assert rule.C == pytest.approx(want, rel=1e-6)
         assert peak < 300e6
+
+
+class TestFactoredRules:
+    """Product-model rules at d = 3 and 4, taken axis by axis, against
+    adaptive quadrature of gamma marginals with unequal shapes and
+    scales on [0, inf).
+
+    Each rule integrand is a sum of products of per-axis functions, so
+    its integral is a sum of products of 1-d integrals; a squared sum
+    sum_s prod_j h_sj integrates to sum_{s,t} prod_j int h_sj h_tj.
+    """
+
+    SHAPES = [3.0, 4.5, 3.5, 5.0]
+    SCALES = [1.0, 0.5, 1.5, 2.0]
+    MP = MixingProfile(upsilon=0.5, alpha_integral=2.0)
+
+    @staticmethod
+    def _quad(h):
+        return integrate.quad(h, 0.0, np.inf, epsabs=0.0, epsrel=1e-12,
+                              limit=400)[0]
+
+    def _marginals(self, d):
+        # g and g'' of Gamma(k, s): g'' = g ((k-1)/x - 1/s)^2 - g (k-1)/x^2
+        out = []
+        for k, s in zip(self.SHAPES[:d], self.SCALES[:d]):
+            def g(x, k=k, s=s):
+                return np.exp((k - 1.0) * np.log(x) - x / s
+                              - special.gammaln(k) - k * np.log(s))
+
+            def g2(x, k=k, s=s, g=g):
+                return g(x) * (((k - 1.0) / x - 1.0 / s) ** 2
+                               - (k - 1.0) / x**2)
+            out.append((g, g2))
+        return out
+
+    def _product(self, factors):
+        return np.prod([self._quad(h) for h in factors])
+
+    def _square(self, terms):
+        # int (sum_s prod_j terms[s][j])^2
+        return sum(self._product([lambda x, a=a, b=b: a(x) * b(x)
+                                  for a, b in zip(s, t)])
+                   for s in terms for t in terms)
+
+    def _density_den(self, gs):
+        # curv = sum_j x_j g_j'' prod_(i != j) g_i
+        return self._square([
+            [(lambda x, g2=g2: x * g2(x)) if i == j else g
+             for i, (g, g2) in enumerate(gs)] for j in range(len(gs))])
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_density_rule(self, d):
+        gs = self._marginals(d)
+        num = self._product([lambda x, g=g: g(x) / (2.0 * np.sqrt(np.pi * x))
+                             for g, _ in gs])
+        want = (d * num / self._density_den(gs)) ** (2.0 / (4.0 + d))
+        rule = density_bandwidth(
+            product_gamma(self.SHAPES[:d], self.SCALES[:d]), 1000)
+        assert rule.C == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_derivative_rule(self, d):
+        # (f/(3 x_n^2) + curv/x_n)^2 with the 1/x_n weights on the last
+        # axis n: terms f/(3 x_n^2), then x_j f_jj / x_n for each j
+        gs = self._marginals(d)
+        *head, (gn, g2n) = gs
+        num = self._product([lambda x, g=g: g(x) / np.sqrt(x)
+                             for g, _ in head]
+                            + [lambda x: gn(x) / x**1.5])
+        plain = [g for g, _ in head]
+        terms = [plain + [lambda x: gn(x) / (3.0 * x * x)]]
+        terms += [plain[:j] + [lambda x, g2=g2: x * g2(x)] + plain[j + 1:]
+                  + [lambda x: gn(x) / x] for j, (_, g2) in enumerate(head)]
+        terms += [plain + [g2n]]
+        tau = d - 1
+        pref = (tau + 3.0) / (2.0**tau * np.pi ** (d / 2.0))
+        want = (pref * num / self._square(terms)) ** (2.0 / (tau + 7.0))
+        rule = derivative_bandwidth(
+            product_gamma(self.SHAPES[:d], self.SCALES[:d]), 1000)
+        assert rule.C == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_mixing_rule(self, d):
+        # the rule integrates over the box up to each marginal's 1 - 1e-7
+        # quantile, which leaves out more of f^(1-u) than of f (a
+        # Gamma(3) axis loses 4e-5 of its [0, inf) integral at u = 1/2),
+        # so C is checked on that box to 1e-6 and on [0, inf) only to
+        # within the truncation
+        gs = self._marginals(d)
+        m = product_gamma(self.SHAPES[:d], self.SCALES[:d])
+        u, tau = self.MP.upsilon, d - 1
+        pref = 2.0 * (2.0 * np.pi) ** (-(tau * (u + 1.0) + u - 1.0) / 2.0)
+        bracket = ((tau + 1.0) * (u + 1.0)
+                   * ((3.0 * u - 1.0) / (2.0 - 2.0 * u)) ** (1.0 - u)
+                   * pref / self._density_den(gs) * self.MP.alpha_integral)
+        e = 2.0 / (tau * (u + 1.0) + u + 5.0)
+        C = mixing_bandwidth(m, 1000, self.MP).C
+        for box, rel in ((m.quantile(1.0 - 1e-7), 1e-6), ([np.inf] * d, 1e-4)):
+            num = np.prod([integrate.quad(
+                lambda x, g=g: x ** (-(u + 1.0) / 2.0) * g(x) ** (1.0 - u),
+                0.0, hi, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+                for (g, _), hi in zip(gs, box)])
+            assert C == pytest.approx((bracket * num) ** e, rel=rel)
+
+    def test_six_dimensions_stay_small(self):
+        # no d-dimensional array is made: d = 6 (tau = 5) takes each
+        # marginal on its own 4001-node axis, once, and the 49 products
+        # of the denominator hold 6 axes of 4001 floats each (9.4 MB)
+        m = product_gamma([3.0] * 6)
+        sizes = _count_marginal_values(m)
+        tracemalloc.start()
+        try:
+            rule = derivative_bandwidth(m, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rule.e == pytest.approx(2.0 / 12.0)
+        assert _grid_calls(sizes) == {"pdf": [4001] * 6, "d2": [4001] * 6}
+        assert peak < 64e6
 
 
 def _count_marginal_values(m):
@@ -221,13 +339,8 @@ def _stacked(m):
                         m.mixed, quantile=m.quantile)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_open_grid_matches_stacked_grid_bitwise(monkeypatch, d):
-    if d == 3:
-        # a 41^3 grid in slabs of 6 rows, the last one short, keeps the
-        # stacked evaluation quick
-        monkeypatch.setattr(bandwidth, "_RULE_NODES", {3: 41})
-        monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41 * 41)
+@pytest.mark.parametrize("d", [1, 2])
+def test_open_grid_matches_stacked_grid_bitwise(d):
     m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
     stacked = _stacked(m)
     # the integrals average away most last-bit differences, so the
@@ -249,11 +362,33 @@ def test_open_grid_matches_stacked_grid_bitwise(monkeypatch, d):
     assert open_grid.hex() == want.hex()
 
 
+def test_factored_matches_tensor_grid(monkeypatch):
+    # a d = 3 product is integrated axis by axis, the same model without
+    # marginals on its 41^3 grid in slabs of 6 rows, the last one short:
+    # the sums agree up to rounding
+    monkeypatch.setattr(bandwidth, "_RULE_NODES", {1: 41, 3: 41})
+    monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41 * 41)
+    m = product_gamma([3.0, 4.5, 3.5], [1.0, 0.5, 1.5])
+    stacked = _stacked(m)
+    for which in ("density", "derivative"):
+        got = bandwidth._reference_integrals(m, which)
+        want = bandwidth._reference_integrals(stacked, which)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    mp = MixingProfile(upsilon=0.5, alpha_integral=2.0)
+    got = mixing_bandwidth(m, 1000, mp).metadata["numerator"]
+    want = mixing_bandwidth(stacked, 1000, mp).metadata["numerator"]
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_slab_size_does_not_change_bits(monkeypatch, d):
-    # slabs of 1 row, of 6 rows with a short last one, and the whole grid
+    # slabs of 1 row, of 6 rows with a short last one, and the whole
+    # grid; at d = 3 the grid is a model's without marginals, since a
+    # product is integrated axis by axis
     monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41, 3: 41})
     m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
+    if d == 3:
+        m = _stacked(m)
     got = set()
     for rows in (1, 6, 41):
         monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", rows * 41 ** (d - 1))
@@ -264,25 +399,27 @@ def test_slab_size_does_not_change_bits(monkeypatch, d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_slab_threads_do_not_change_bits(monkeypatch, pool_sizes, d):
-    # slabs of 1 row, and of 6 rows with a short last one, on 1 to 3
-    # threads: the density, derivative and mixing integrals keep their bits
+    # slabs of 1 row, and of 6 rows with a short last one: the density,
+    # derivative and mixing integrals keep their bits, and with every
+    # grid past the 2^20 gate of the node blocks and 3 usable CPUs the
+    # slabs still run on the calling thread. At d = 3 the grid is a
+    # model's without marginals
     monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41, 3: 41})
     monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
     m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
+    if d == 3:
+        m = _stacked(m)
     mp = MixingProfile(upsilon=0.5, alpha_integral=2.0)
     got = set()
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
-        for rows in (1, 6):
-            monkeypatch.setattr(bandwidth, "_SLAB_ELEMS",
-                                rows * 41 ** (d - 1))
-            values = [v for which in ("density", "derivative")
-                      for v in bandwidth._reference_integrals(m, which)]
-            values.append(mixing_bandwidth(m, 1000, mp).metadata["numerator"])
-            got.add(tuple(v.hex() for v in values))
+    for rows in (1, 6):
+        monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", rows * 41 ** (d - 1))
+        values = [v for which in ("density", "derivative")
+                  for v in bandwidth._reference_integrals(m, which)]
+        values.append(mixing_bandwidth(m, 1000, mp).metadata["numerator"])
+        got.add(tuple(v.hex() for v in values))
     assert len(got) == 1
-    # the mixing rule integrates two grids, each cut in 2 slab sizes
-    assert pool_sizes == [2] * 8 + [3] * 8
+    assert pool_sizes == []
 
 
 def test_rule_off_the_main_thread_stays_serial(monkeypatch, pool_sizes):
@@ -292,7 +429,6 @@ def test_rule_off_the_main_thread_stays_serial(monkeypatch, pool_sizes):
     monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41)
     m = product_gamma([3.0, 3.0])
     want = density_bandwidth(m, 1000).C
-    assert pool_sizes == [3]
     got = []
     worker = threading.Thread(
         target=lambda: got.append(density_bandwidth(m, 1000).C))
@@ -300,7 +436,7 @@ def test_rule_off_the_main_thread_stays_serial(monkeypatch, pool_sizes):
     worker.join(timeout=60)
     assert not worker.is_alive()
     assert got == [want]
-    assert pool_sizes == [3]
+    assert pool_sizes == []
 
 
 def test_d2_rule_grid_stays_on_the_calling_thread(monkeypatch, pool_sizes):
@@ -311,31 +447,30 @@ def test_d2_rule_grid_stays_on_the_calling_thread(monkeypatch, pool_sizes):
 
 
 def test_d3_rule_grid_past_the_gate_keeps_its_bits(monkeypatch, pool_sizes):
-    # 102^3 = 1,061,208 nodes, past the 2^20 gate
+    # 102^3 = 1,061,208 nodes of a model without marginals, past the
+    # 2^20 gate of the node blocks, on the calling thread at any CPU count
     monkeypatch.setattr(bandwidth, "_RULE_NODES", {3: 102})
-    m = product_gamma([3.0, 4.5, 3.5], [1.0, 0.5, 1.5])
+    m = _stacked(product_gamma([3.0, 4.5, 3.5], [1.0, 0.5, 1.5]))
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 1)
     want = density_bandwidth(m, 1000).C
-    assert pool_sizes == []
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
     got = density_bandwidth(m, 1000).C
-    assert pool_sizes == [2]
+    assert pool_sizes == []
     assert got.hex() == want.hex()
 
 
 def test_rule_gate_opens_at_its_size(monkeypatch, pool_sizes):
-    # a 41^2 grid in slabs of 6 rows opens a pool at a gate of exactly
-    # its node count, and none one node above it
+    # a 41^2 grid in slabs of 6 rows opens no pool at a gate of exactly
+    # its node count, nor one node above it: the gate is the node blocks'
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41})
     monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41)
     m = product_gamma([3.0, 3.0])
     monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 41 * 41)
-    density_bandwidth(m, 1000)
-    assert pool_sizes == [2]
+    want = density_bandwidth(m, 1000).C
     monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 41 * 41 + 1)
-    density_bandwidth(m, 1000)
-    assert pool_sizes == [2]
+    assert density_bandwidth(m, 1000).C == want
+    assert pool_sizes == []
 
 
 @pytest.mark.parametrize("n", [0, -5])

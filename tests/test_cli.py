@@ -137,6 +137,17 @@ class TestEstimate:
         assert "rule DensityPlugIn" in runs[0][0]
         assert runs[0] == runs[1]
 
+    def test_plugin_rule_at_tau_3(self, tmp_path, capsys):
+        # lag fragments of width 4 get a rule, and a field on a 3^4 grid
+        out = tmp_path / "field.csv"
+        assert main(["estimate", "--input", str(MINI), "--output", str(out),
+                     "--rule", "plugin", "--tau", "3",
+                     "--grid", ";".join(["0.5:2.0:3"] * 4)]) == 0
+        assert "rule DensityPlugIn" in capsys.readouterr().out
+        rows = np.loadtxt(out, delimiter=",", ndmin=2)
+        assert rows.shape == (81, 5)
+        assert np.all(np.isfinite(rows)) and np.all(rows[:, -1] > 0.0)
+
     def test_missing_bandwidth_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["estimate", "--input", str(MINI),
@@ -184,12 +195,14 @@ BAD_INPUT = {
                          "--alpha-integral 2",
     "alpha-without-upsilon": "bandwidth --which density --n 100 "
                              "--model gamma:3 --alpha-integral 2",
-    # rules at tau >= 3 would need a 301^4-node grid
-    "rule-tau-3": "bandwidth --which density --tau 3 --n 1000 "
-                  "--model gamma:3.0,1.0",
-    "plugin-tau-3": f"{EST} --rule plugin --tau 3",
+    # the joint truth of lag fragments of width 4
     "simulate-rule-tau-3": "simulate --output {out} --seed 1 --tau 3 "
                            "--n-grid 100,200 --marginal gamma:3.0,1.0",
+    # a pilot grid of 25^4 nodes
+    "plugin-stages-2-tau-3": f"{EST} --rule plugin --stages 2 --tau 3",
+    # a rule box past the float range: the quantile is 1e308 times 21.7
+    "bandwidth-quantile-inf": "bandwidth --which density --n 1000 "
+                              "--model gamma:3,1e308",
     # integer flags below their lower bound
     "n-zero": "bandwidth --which density --n 0 --model gamma:3",
     "n-negative": "bandwidth --which density --n -5 --model gamma:3",
@@ -319,6 +332,11 @@ BAD_INPUT_MESSAGE = {
     "alpha-integral-zero": "mixing rule needs alpha_integral > 0",
     "simulate-ise-zero": "rate fit needs a finite positive MISE, got 0",
     "simulate-ise-not-finite": "n=5: 0 of 2 replicates have a finite ISE",
+    "simulate-rule-tau-3": "joint truth supported for fragment width <= 3",
+    "plugin-stages-2-tau-3": "the two-stage plug-in rule supports at most "
+                             "3 dimensions (tau <= 2), got d=4",
+    "bandwidth-quantile-inf": "the model's 1 - 1e-7 quantile on axis 0 is "
+                              "inf; the rule integrals need a finite box",
 }
 
 
@@ -340,10 +358,8 @@ def test_bad_input_with_node_blocks(tmp_path, capsys, monkeypatch, key):
 @pytest.mark.parametrize("key", ["derivative-rule-zero", "density-rule-zero",
                                  "mixing-rule-zero", "simulate-rule-zero"])
 def test_bad_input_with_slab_threads(tmp_path, capsys, monkeypatch, key):
-    # every rule grid cut into slabs of 6 rows, the last one short, on 3
-    # threads
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
+    # every rule grid cut into slabs of 6 rows, the last one short, on
+    # the calling thread
     monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6)
     err = _assert_usage_error(tmp_path, capsys, key)
     assert err.count("error:") == 1
@@ -405,9 +421,7 @@ class TestBandwidth:
     def test_rule_output_golden_with_slab_threads(self, capsys,
                                                   monkeypatch):
         # the 4001-node grids in 5 slabs, the last of 1 row, and the
-        # 801^2 grids in 1-row slabs, on 3 threads
-        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
+        # 801^2 grids in 1-row slabs, on the calling thread
         monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 1000)
         self.test_rule_output_golden(capsys)
 
@@ -433,6 +447,19 @@ class TestBandwidth:
         c = float(next(l for l in out.splitlines()
                        if l.startswith("C=")).split("=")[1])
         assert c == pytest.approx((108.0 / 35.0) ** (2.0 / 7.0), abs=1e-3)
+
+    def test_model_rule_past_tau_2(self, capsys):
+        # product models are integrated axis by axis at any tau
+        for tau in (3, 4, 5):
+            for which, kind, e in (("density", "DensityRef", 5),
+                                   ("derivative", "DerivativeRef", 7)):
+                assert main(["bandwidth", "--which", which, "--tau",
+                             str(tau), "--n", "1000",
+                             "--model", "gamma:3.0,1.0"]) == 0
+                out = capsys.readouterr().out
+                assert f"kind={kind}" in out
+                assert f"e={2.0 / (e + tau):.16e}" in out
+                assert f"tau={tau}" in out
 
     def test_narrow_model_rule(self, capsys):
         # Gamma(1e6, 1e-6): a narrow but valid reference, sd 1e-3 around 1

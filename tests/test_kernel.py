@@ -156,7 +156,7 @@ class TestLTerm:
                                                 abs=1e-5)
 
     def test_requires_positive_t(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="l_term requires t > 0"):
             l_term(0.0, 1.0, 0.1)
 
 
@@ -193,12 +193,21 @@ class TestKernelGradX:
         fd = (kernel_eval(t, x + h, b) - kernel_eval(t, x - h, b)) / (2 * h)
         assert kernel_grad_x(t, x, b) == pytest.approx(fd, rel=1e-5)
 
-    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
     def test_requires_positive_t(self, t):
         with pytest.raises(ValueError):
             kernel_grad_x(t, 1.0, 0.1)
         with pytest.raises(ValueError):
             kernel_grad_x(np.array([0.5, t]), 0.0, 0.1)
+
+    def test_zero_at_t_zero(self):
+        # the exact limit, as in the estimator's derivative tiles, on both
+        # branches and at x = 0 where the shape is 1
+        for x in (0.0, 0.05, 1.0):
+            assert kernel_grad_x(0.0, x, 0.1) == 0.0
+        got = kernel_grad_x(np.array([0.0, 0.5]), np.array([[0.0], [1.0]]),
+                            0.1)
+        assert np.all(got[:, 0] == 0.0) and got[1, 1] != 0.0
 
     def test_integrates_to_zero(self):
         # d/dx of a normalized family: integral of the gradient is 0
@@ -250,16 +259,15 @@ class TestOneFormula:
             np.exp(logk).tobytes()
         assert l_term(pos, self.X, b).tobytes() == lt[:, 1:].tobytes()
         assert grad_prefactor(self.X, b).tobytes() == slope.tobytes()
-        want = _grad_tile(self.T, self.X, logk, lt, slope)[:, 1:]
-        assert kernel_grad_x(pos, self.X, b).tobytes() == want.tobytes()
+        want = _grad_tile(self.T, self.X, logk, lt, slope)
+        assert kernel_grad_x(self.T, self.X, b).tobytes() == want.tobytes()
         # and one point at a time
         for i, j in np.ndindex(logk.shape):
             t, x = self.T[0, j], self.X[i, 0]
             assert np.float64(log_kernel_eval(t, x, b)).tobytes() == \
                 logk[i, j].tobytes()
-            if t > 0.0:
-                assert np.float64(kernel_grad_x(t, x, b)).tobytes() == \
-                    want[i, j - 1].tobytes()
+            assert np.float64(kernel_grad_x(t, x, b)).tobytes() == \
+                want[i, j].tobytes()
 
     @pytest.mark.parametrize("b", [0.1, 0.35])
     def test_kernel_tile_is_the_written_out_sequence(self, b):
