@@ -12,26 +12,40 @@ times c_i for the derivative. A pointwise estimate is a one-node grid.
 An observation X_ia = 0 contributes c_i K = 0, the exact limit:
 K L ~ t^(rho-1) ln t -> 0 for x_a > 0, and c_i = 0 at x_a = 0.
 
-The sample is summed in chunks of at most cols = max(128, 2^20 // sum m_j)
-rows, for m_j nodes on axis j, split as numpy's pairwise sum splits a
-row, and divided by n once. The terms of the kernel that depend on a
-node alone (``kernel.node_terms``) are computed once per field and axis,
+The sample is summed in chunks of at most
+cols = max(128, min(2^17, 2^20 // sum m_j)) rows, for m_j nodes on axis
+j, split as numpy's pairwise sum splits a row, and divided by n once.
+The terms of the kernel that depend on a node alone
+(``kernel.node_terms``) are computed once per field and axis,
 those that depend on an observation alone (``kernel.obs_terms``) once
 per chunk and axis. The kernel matrices are written in tiles of
-max(1, 2^17 // min(cols, n)) nodes (``_TILE_ELEMS``: 1 MB or less
-wherever a node's row fits), each weighted on the derivative axis as it
-is written, so a tile and its weights stay in L2. An axis-0 tile is
-contracted at once: row sums at d = 1, one einsum with the axis-1
-matrix at d = 2, one axis-0 node at a time past that. The matrices of
-axes >= 1 are kept whole for the chunk. Workspaces are made once per
-call: memory is O(cols * sum_{j>=1} m_j) plus two tiles and a partial
-field per level of the split.
+max(1, 2^17 // min(cols, n)) nodes (``_TILE_ELEMS``: 1 MB or less,
+since a node's row is), each weighted on the derivative axis as it
+is written, so a tile and its weights stay in L2. Axis 0 is contracted
+a group of nodes at a time: a tile at d = 1 (row sums) and at d >= 3 (one
+axis-0 node at a time), and at d = 2 a GEMM block of
+2^17 // cols nodes (``_GEMM_ELEMS``), written tile by tile and
+multiplied with the axis-1 matrix at once. The matrices of axes >= 1 are
+kept whole for the chunk. Workspaces are made once per call: memory is
+O(cols * sum_{j>=1} m_j) plus one workspace per node block, which holds
+the axis-0 group and the weight tile, and a partial field per level of
+the split.
+
+The last two axes of a d >= 2 field are contracted by one BLAS GEMM
+(``np.matmul``) on numpy's bundled OpenBLAS, held at one thread while any
+d >= 2 field runs (``_BLAS``), so the bytes do not depend on the BLAS
+thread count. GEMM bits depend on the row count of the left matrix, so
+the d = 2 blocks are sized from the grid alone; at d >= 3 the left matrix
+is a whole axis. The hold is process-wide: meanwhile every numpy BLAS
+call, on any thread, runs on one thread, and the BLAS thread count must
+not be changed from another thread. Without the bundled library, or
+without its thread-count symbols, the last two axes take one ``einsum``
+without BLAS.
 
 Every kernel value takes the same float operations in any tile, and
 each row of a tile is summed whole, so the tile size changes no bit.
-d = 1 is bitwise the one-pass ``mean``; d = 2 is bitwise the one-pass
-``einsum`` while n <= cols; d >= 3 differs from it only in the last
-bits.
+d = 1 is bitwise the one-pass ``mean``; d >= 2 matches the one-pass
+``einsum`` to rounding, not bitwise.
 
 A 1-d field of at least 2^20 kernel values (n * m_0) computed on the
 main thread is cut into p = min(usable CPUs, m_0) contiguous blocks of
@@ -41,6 +55,8 @@ and the bandwidth rules stay on the calling thread
 (``BENCH_axes-once.json``).
 """
 
+import contextlib
+import ctypes
 import itertools
 import math
 import os
@@ -69,6 +85,9 @@ DENSITY_FLOOR = 1e-12
 
 # float64 elements in the kernel matrices of one chunk, all axes (8 MB)
 _CHUNK_ELEMS = 1 << 20
+# rows of a chunk at most: a node's row of kernel values (1 MB), so that a
+# tile, its weight tile and a GEMM block each take a MB or less on any grid
+_MAX_COLS = 1 << 17
 # numpy sums a block of up to 128 terms in one pass, without splitting it,
 # so no chunk is made smaller (and under 16 rows half would round to 0)
 _PAIRWISE_BLOCK = 128
@@ -80,6 +99,11 @@ _SPLIT_ELEMS = 1 << 20
 # Smaller tiles cost more ufunc calls, which two threads pay for in GIL
 # hand-offs (BENCH_kernel-tiles.json)
 _TILE_ELEMS = 1 << 17
+# float64 elements of a d = 2 GEMM block (1 MB at n >= cols): its rows
+# are _GEMM_ELEMS // cols >= 1 axis-0 nodes. GEMM bits depend on the row
+# count of the left matrix, so it comes from the grid alone, never from
+# the tile size, n or the CPU count
+_GEMM_ELEMS = 1 << 17
 
 
 @dataclass
@@ -169,6 +193,52 @@ def _workers(tasks, elems):
     return min(_usable_cpus(), tasks)
 
 
+class _BlasHold:
+    """Holds a BLAS at one thread while d >= 2 fields run, through its
+    ``get`` and ``set`` thread-count functions: the first field in saves
+    the count and sets 1, the last one out restores it, also when a field
+    raises. The thread count is process state, so there is one hold per
+    process (``_BLAS``); a count changed from another thread while a field
+    runs is overwritten when the last field leaves."""
+
+    def __init__(self, get_threads, set_threads):
+        self.get, self.set = get_threads, set_threads
+        self._lock = threading.Lock()
+        self._fields = 0
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            if not self._fields:
+                self._saved = self.get()
+                self.set(1)
+            self._fields += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._fields -= 1
+            if not self._fields:
+                self.set(self._saved)
+
+
+def _bundled_openblas():
+    """A ``_BlasHold`` on the OpenBLAS that numpy's ``matmul`` calls: the
+    ``libscipy_openblas64_`` of the numpy wheels, found through numpy's
+    own extension module. None for any other BLAS."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return _BlasHold(get_threads, set_threads)
+
+
+_BLAS = _bundled_openblas()
+
+
 def _thread_map(fn, tasks, p):
     """``[fn(t) for t in tasks]`` on ``p`` threads. The first exception,
     in task order, is raised, and the tasks not yet started are dropped.
@@ -186,12 +256,14 @@ def _field(data, axes, b, axis=None):
     """Estimate on the tensor grid ``axes``; the derivative along ``axis``."""
     n = data.shape[0]
     shape = [a.size for a in axes]
-    cols = max(_PAIRWISE_BLOCK, _CHUNK_ELEMS // sum(shape))
+    cols = max(_PAIRWISE_BLOCK, min(_MAX_COLS, _CHUNK_ELEMS // sum(shape)))
     # chunks of at most k rows, tiles of `step` nodes; each kernel value
     # takes the same operations in any tile and rows are summed whole,
-    # so neither size changes a bit of the field
+    # so neither size changes a bit of the field. Axis 0 is contracted
+    # `rows` nodes at a time: a tile, or at d = 2 a GEMM block
     k = min(cols, n)
     step = max(1, _TILE_ELEMS // k)
+    rows = _GEMM_ELEMS // cols if len(axes) == 2 else step
     # the node terms, once per field and axis, cut into tiles. Past the
     # float range a log kernel runs to -inf, a kernel of 0, and the
     # terms to inf or nan, which only a non-finite total shows; numpy's
@@ -202,28 +274,34 @@ def _field(data, axes, b, axis=None):
                  for j, (a, bj) in enumerate(zip(axes, b))]
     p = _workers(shape[0], n * shape[0]) if len(axes) == 1 else 1
     rest = [_tiles(t, 0, m, step) for t, m in zip(terms[1:], shape[1:])]
-    # each block's workspaces: an axis-0 tile, a matrix per axis >= 1,
-    # a derivative weight tile and at d >= 3 a product buffer per axis
-    # 1 to d - 2. All are made here, in the calling thread, which keeps
-    # the pool threads' heaps small (BENCH_node-blocks.json); the tiles
-    # are far below the 4 MiB from which numpy asks for huge pages
-    # (BENCH_steady-rss.json)
+    # each block's workspaces: one for its axis-0 group and the derivative
+    # weight tile, a matrix per axis >= 1 and at d >= 3 a product buffer
+    # per axis 1 to d - 2. All are made here, in the calling thread, which
+    # keeps the pool threads' heaps small (BENCH_node-blocks.json). The
+    # group and the weight tile share one array of 2 MB or less, under the
+    # 4 MiB from which numpy asks for huge pages (BENCH_steady-rss.json);
+    # as one array glibc does not trim it off the heap after every call
     blocks = []
     for nodes in np.array_split(np.arange(shape[0]), p):
         sizes = [nodes.size] + shape[1:]
-        work = [np.empty(min(step, nodes.size) * k)]
-        work += [np.empty(m * k) for m in shape[1:]]
-        weights = (None if axis is None
-                   else np.empty(min(step, sizes[axis]) * k))
+        group = min(rows, nodes.size) * k
+        tile = 0 if axis is None else min(step, sizes[axis]) * k
+        shared = np.empty(group + tile)
+        work = [shared[:group]] + [np.empty(m * k) for m in shape[1:]]
+        weights = None if axis is None else shared[group:]
         prods = [np.empty(m * k) for m in shape[1:-1]]
-        first = _tiles(terms[0], nodes[0], nodes[-1] + 1, step)
-        blocks.append(([first] + rest, work, weights, prods))
+        groups = [_tiles(terms[0], a, min(a + rows, nodes[-1] + 1), step)
+                  for a in range(nodes[0], nodes[-1] + 1, rows)]
+        blocks.append(([groups] + rest, work, weights, prods))
 
     def block_sum(block):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return _sum_terms(data, b, cols, block)
 
-    values = np.concatenate(_thread_map(block_sum, blocks, p)) / n
+    hold = (_BLAS if len(axes) > 1 and _BLAS is not None
+            else contextlib.nullcontext())
+    with hold:
+        values = np.concatenate(_thread_map(block_sum, blocks, p)) / n
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise ValueError(f"the estimate is not finite at {bad} of "
@@ -240,22 +318,21 @@ def _tiles(terms, lo, hi, step):
 def _sum_terms(data, b, cols, block):
     """Sum the per-observation terms over the rows of ``data``, at the
     axis-0 nodes of ``block`` and every node of the axes >= 1, one
-    axis-0 tile at a time. Rows are split where numpy's pairwise ``sum``
-    over all of them would split."""
+    axis-0 group of tiles at a time. Rows are split where numpy's
+    pairwise ``sum`` over all of them would split."""
     n = data.shape[0]
     if n > cols:
         half = n // 2
         half -= half % 8
         return (_sum_terms(data[:half], b, cols, block)
                 + _sum_terms(data[half:], b, cols, block))
-    tiles, work, weights, prods = block
+    (groups, *rest), work, weights, prods = block
     obs = [obs_terms(data[None, :, j], b[j], t[0].psi is not None)
-           for j, t in enumerate(tiles)]
-    mats = [_matrix(*args, weights)
-            for args in zip(tiles[1:], obs[1:], work[1:])]
+           for j, t in enumerate([groups[0]] + rest)]
+    mats = [_matrix(*args, weights) for args in zip(rest, obs[1:], work[1:])]
     return np.concatenate([
-        _contract(_matrix([t], obs[0], work[0], weights), mats, prods)
-        for t in tiles[0]])
+        _contract(_matrix(g, obs[0], work[0], weights), mats, prods)
+        for g in groups])
 
 
 def _matrix(tiles, obs, work, weights):
@@ -274,14 +351,19 @@ def _matrix(tiles, obs, work, weights):
 def _contract(first, mats, prods, out=None):
     """Sum over the rows the products of the axis-0 matrix ``first`` and
     the matrices ``mats`` of the axes >= 1, at every node, into ``out`` if
-    given. einsum without BLAS keeps the bytes independent of the thread
-    count. Past two axes, P = A[i] * B (in ``prods[0]``) replaces A and B
-    one axis-0 node i at a time; the last two axes take one einsum.
+    given. Past two axes, P = A[i] * B (in ``prods[0]``) replaces A and B
+    one axis-0 node i at a time. The last two axes take one GEMM,
+    ``first @ mats[0].T``, on numpy's bundled OpenBLAS, which ``_field``
+    holds at one thread, so the bytes do not depend on the BLAS thread
+    count; they match the one-pass ``einsum`` to rounding. Without that
+    library (``_BLAS`` None) they take one einsum without BLAS.
     """
     if not mats:
         return first.sum(axis=1)
     if len(mats) == 1:
-        return np.einsum("az,bz->ab", first, mats[0], out=out)
+        if _BLAS is None:
+            return np.einsum("az,bz->ab", first, mats[0], out=out)
+        return np.matmul(first, mats[0].T, out=out)
     if out is None:
         out = np.empty((first.shape[0],) + tuple(m.shape[0] for m in mats))
     p = prods[0][: mats[0].size].reshape(mats[0].shape)
@@ -399,13 +481,15 @@ def _load_fast(path, fh):
     if first is None:
         return None
     lineno, line, _ = first
-    fh.seek(0)
     try:
         # the lines before the first data line are blank, comment or
-        # header; with comments=None a later '#' is a parse error
-        return np.loadtxt(fh, dtype=float, comments=None,
+        # header; with comments=None a later '#' is a parse error.
+        # loadtxt reads a path faster than a text handle, in the
+        # handle's encoding
+        return np.loadtxt(path, dtype=float, comments=None,
                           delimiter="," if "," in line else None,
-                          skiprows=lineno - 1, ndmin=2)
+                          skiprows=lineno - 1, ndmin=2,
+                          encoding=fh.encoding)
     except ValueError:
         return None
 

@@ -493,7 +493,8 @@ class TestNodeBlocks:
     def test_axis0_matrices_stay_under_huge_page_size(self, monkeypatch):
         # the largest Monte Carlo field: 200 nodes by 4000 observations,
         # whose 6.4 MB matrices numpy would back with huge pages, in
-        # tiles of 32 nodes: the kernel tile and the weight tile
+        # tiles of 32 nodes: one workspace holds the kernel tile and the
+        # weight tile
         data = _sample(1, n=4000)
         data[::5] = 0.0
         axes = [np.linspace(0.0, 8.0, 200)]
@@ -508,8 +509,9 @@ class TestNodeBlocks:
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(field_on_grid, data, axes, 0.2, kind="derivative",
                         axis=0).result()
-        assert sizes == [32 * 4000] * 2
+        assert sizes == [2 * 32 * 4000]
         assert 32 * 4000 <= estimator._TILE_ELEMS
+        assert 2 * 32 * 4000 <= (1 << 19) - 1
         # nor does any temporary exceed a tile: the field's peak is the
         # two tiles and the per-row and per-node terms
         tracemalloc.start()
@@ -574,7 +576,8 @@ class TestNodeBlocks:
     def test_product_slab_stays_under_huge_page_size(self, monkeypatch):
         # the 25^3 lag-series grid over 3000 rows: the product of all
         # axis-0 nodes with the axis-1 matrix would take 15 MB, that of
-        # one node 600 kB
+        # one node 600 kB; the axis-0 tile and the weight tile share one
+        # workspace of 1.2 MB
         data = _sample(3, n=3000)
         axes = [np.linspace(0.2, 8.0, 25)] * 3
         # floats under 4 MiB, from which numpy asks for huge pages
@@ -589,7 +592,24 @@ class TestNodeBlocks:
         monkeypatch.setattr(np, "empty", recording_empty)
         _force_blocks(monkeypatch, 2)
         field_on_grid(data, axes, 0.4, kind="derivative", axis=0)
-        assert max(sizes) == 25 * 3000 <= (1 << 19) - 1
+        assert max(sizes) == 2 * 25 * 3000 <= (1 << 19) - 1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_node_workspaces_stay_under_huge_page_size(self, monkeypatch,
+                                                           d):
+        # a one-node grid puts the whole chunk in one node's row; over
+        # 600,000 rows a row alone would reach 2^19 floats
+        data = _sample(d, n=600_000)
+        sizes = []
+        empty = np.empty
+
+        def recording_empty(shape, *args, **kwargs):
+            sizes.append(int(np.prod(shape)))
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recording_empty)
+        density_partial_at(data, [3.0] * d, 0.2, d - 1)
+        assert sizes and max(sizes) <= (1 << 19) - 1
 
     def test_multivariate_non_finite_field_raises_without_warning(
             self, monkeypatch, pool_sizes):
@@ -640,6 +660,138 @@ class TestNodeBlocks:
                 field_on_grid([[1.0], [2.0], [0.5]],
                               [np.array([1e6, 2e6])], 1e-300)
         assert pool_sizes == [2]
+
+
+class TestBlasHold:
+    """d >= 2 contractions end in a GEMM on numpy's bundled OpenBLAS, held
+    at one thread while a field runs, or in an einsum without it."""
+
+    @pytest.fixture
+    def blas(self):
+        """The hold, with BLAS at 2 threads so that the hold shows."""
+        blas = estimator._BLAS
+        if blas is None:
+            pytest.skip("numpy's bundled OpenBLAS was not found")
+        old = blas.get()
+        blas.set(2)
+        try:
+            yield blas
+        finally:
+            blas.set(old)
+
+    @staticmethod
+    def _record(monkeypatch, seen):
+        """Record the left matrix and the BLAS thread count of every
+        contraction."""
+        contract = estimator._contract
+
+        def recording(first, *args, **kwargs):
+            blas = estimator._BLAS
+            seen.append((first.shape, None if blas is None else blas.get()))
+            return contract(first, *args, **kwargs)
+
+        monkeypatch.setattr(estimator, "_contract", recording)
+
+    @pytest.mark.parametrize("kind,d,axis", [
+        ("density", 2, None), ("density", 3, None), ("derivative", 2, 0),
+        ("derivative", 3, 2),
+    ])
+    def test_einsum_without_the_library(self, monkeypatch, kind, d, axis):
+        data = _sample(d, n=1500)
+        data[::7, d - 1] = 0.0
+        axes = [np.linspace(0.0, 4.0, 9 - j) for j in range(d)]
+        b = np.linspace(0.15, 0.25, d)
+        want, scale = _one_pass(data, axes, b, axis)
+        calls = {"einsum": 0}
+        einsum = np.einsum
+
+        def counting_einsum(*args, **kwargs):
+            calls["einsum"] += 1
+            return einsum(*args, **kwargs)
+
+        def no_matmul(*args, **kwargs):
+            raise AssertionError("matmul called without the library")
+
+        monkeypatch.setattr(estimator, "_BLAS", None)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        monkeypatch.setattr(np, "matmul", no_matmul)
+        monkeypatch.setattr(estimator, "_CHUNK_ELEMS", 1)
+        got = field_on_grid(data, axes, b, kind=kind, axis=axis).values
+        assert calls["einsum"] > 0
+        if kind == "density":
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        else:
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_one_thread_while_a_field_runs(self, monkeypatch, blas):
+        data = _sample(2, n=300)
+        axes = [np.linspace(0.0, 4.0, 9), np.linspace(0.0, 4.0, 7)]
+        seen = []
+        self._record(monkeypatch, seen)
+        field_on_grid(data, axes, 0.2, kind="derivative")
+        assert seen and {threads for _, threads in seen} == {1}
+        assert blas.get() == 2
+        # a 1-d field leaves BLAS alone
+        seen.clear()
+        field_on_grid(data[:, :1], axes[:1], 0.2)
+        assert seen and {threads for _, threads in seen} == {2}
+
+    def test_count_restored_after_a_field_raises(self, monkeypatch, blas):
+        with pytest.raises(ValueError, match="not finite at 4 of 4 nodes"):
+            field_on_grid([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]],
+                          [np.array([1e6, 2e6])] * 2, 1e-300)
+        assert blas.get() == 2
+
+        def failing(*args, **kwargs):
+            assert blas.get() == 1
+            raise RuntimeError("contraction failed")
+
+        monkeypatch.setattr(estimator, "_contract", failing)
+        with pytest.raises(RuntimeError, match="contraction failed"):
+            field_on_grid(_sample(2, n=50), [np.linspace(0.1, 4.0, 5)] * 2,
+                          0.2)
+        assert blas.get() == 2
+
+    def test_count_restored_after_concurrent_fields(self, monkeypatch, blas):
+        # 32 fields on 8 threads, switching every microsecond, enter and
+        # leave the hold in every order; each of their GEMM blocks (5 of
+        # 8 nodes, cols = 2^20 // 70) sees one BLAS thread
+        data = _sample(2, n=400, seed=5)
+        axes = [np.linspace(0.0, 4.0, 40), np.linspace(0.0, 4.0, 30)]
+        want = field_on_grid(data, axes, 0.2, kind="derivative").values
+        seen = []
+        self._record(monkeypatch, seen)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = estimator._thread_map(
+                lambda _: field_on_grid(data, axes, 0.2,
+                                        kind="derivative").values,
+                range(32), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 32 * 5
+        assert {threads for _, threads in seen} == {1}
+        assert blas.get() == 2
+        for values in got:
+            assert values.tobytes() == want.tobytes()
+
+    def test_gemm_blocks_from_the_grid_alone(self, monkeypatch):
+        # 120 axis-0 nodes, cols = 2^20 // 240 = 4369: four GEMM blocks of
+        # 30 nodes over 300 rows, whatever the tile size or the CPU count
+        data = _sample(2, n=300)
+        axes = [np.linspace(0.0, 4.0, 120), np.linspace(0.0, 4.0, 120)]
+        seen = []
+        self._record(monkeypatch, seen)
+        want = field_on_grid(data, axes, 0.2, kind="derivative", axis=0)
+        assert [shape for shape, _ in seen] == [(30, 300)] * 4
+        for tile, cpus in [(300 * 7, 1), (300, 4), (1 << 20, 4)]:
+            monkeypatch.setattr(estimator, "_TILE_ELEMS", tile)
+            _force_blocks(monkeypatch, cpus)
+            seen.clear()
+            got = field_on_grid(data, axes, 0.2, kind="derivative", axis=0)
+            assert [shape for shape, _ in seen] == [(30, 300)] * 4
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 def _write(path, text):
@@ -721,6 +873,21 @@ class TestIO:
         assert fast.shape == slow.shape
         assert fast.tobytes() == slow.tobytes()
         np.testing.assert_array_equal(load_sample(p), slow)
+
+    def test_non_ascii_header_skipped_by_loadtxt(self, tmp_path):
+        # written in the encoding that open() reads with, as a user's
+        # editor would; loadtxt reads the path in that encoding too
+        p = tmp_path / "s.csv"
+        try:
+            with open(p, "w", newline="") as fh:
+                fh.write("température (°C),durée\n1.5,2.0\n3.0,4.25\n")
+        except UnicodeEncodeError:
+            pytest.skip("the locale's encoding has no 'é' or '°'")
+        fast, slow = _both_loaders(p)
+        assert fast is not None
+        assert fast.tobytes() == slow.tobytes()
+        np.testing.assert_array_equal(load_sample(p), [[1.5, 2.0],
+                                                       [3.0, 4.25]])
 
     @pytest.mark.parametrize("text,want", [
         ("# comment\n1.5,2.0\n#\n3.0, 4.25\n# end\n",
