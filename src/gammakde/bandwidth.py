@@ -410,21 +410,17 @@ def _moment_matched_reference(data, min_shape):
     return product_gamma(floored, scales), bool(np.any(shapes < min_shape))
 
 
-def _pilot_functionals(data, b, which):
+def _pilot_functionals(data, b, hi, which):
     """Rule integrals re-estimated from a pilot gamma-kernel density.
 
     The pilot estimate is evaluated on an interior tensor grid
-    [2b, empirical 0.999 quantile] and its second partials come from
-    grid differences; the boundary strip is excluded because the pilot
-    and the expansions are both unreliable there.
+    [2b, hi], with ``hi`` the empirical 0.999 quantiles, and its second
+    partials come from grid differences; the boundary strip is excluded
+    because the pilot and the expansions are both unreliable there.
     """
     d = data.shape[1]
     nodes = {1: 400, 2: 60, 3: 25}[d]
-    lo = 2.0 * b
-    hi = np.quantile(data, 0.999, axis=0)
-    if np.any(hi <= lo):
-        raise ValueError("pilot grid collapsed: bandwidth too large for data")
-    axes = [np.linspace(lo, hi[j], nodes) for j in range(d)]
+    axes = [np.linspace(2.0 * b, hi[j], nodes) for j in range(d)]
     f = estimator.field_on_grid(data, axes, np.full(d, b),
                                 kind="density").values
     x = np.ix_(*axes)
@@ -469,11 +465,19 @@ def plug_in_bandwidth(sample, which="density", stages=1):
     rule = BandwidthRule(kind=kind, C=rule.C, e=rule.e,
                          metadata=dict(rule.metadata, stage=0,
                                        shape_floored=floored))
+    # the pilot's grid runs from 2b to the 0.999 quantile: a reference b
+    # past half of it is refused at either stage
+    b0 = rule.bandwidth(n)
+    hi = np.quantile(data, 0.999, axis=0)
+    if np.any(2.0 * b0 >= hi):
+        j = int(np.argmax(2.0 * b0 >= hi))
+        raise ValueError(f"column {j}: the reference bandwidth b({n}) = "
+                         f"{b0:.6g} is at least half the column's 0.999 "
+                         f"quantile, {hi[j]:.6g}")
     if stages == 1:
         return rule
 
-    b0 = rule.bandwidth(n)
-    num, den = _pilot_functionals(data, b0, which)
+    num, den = _pilot_functionals(data, b0, hi, which)
     C, e = _rule_constant(which, tau, num, den)
     return BandwidthRule(
         kind=kind, C=C, e=e,

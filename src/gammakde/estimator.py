@@ -18,18 +18,19 @@ j, split as numpy's pairwise sum splits a row, and divided by n once.
 The terms of the kernel that depend on a node alone
 (``kernel.node_terms``) are computed once per field and axis,
 those that depend on an observation alone (``kernel.obs_terms``) once
-per chunk and axis. The kernel matrices are written in tiles of
+per chunk and axis. In each chunk, ``_matrix`` writes the kernel matrix
+of a range of nodes of one axis, cutting the range into tiles of
 max(1, 2^17 // min(cols, n)) nodes (``_TILE_ELEMS``: 1 MB or less,
-since a node's row is), each weighted on the derivative axis as it
-is written, so a tile and its weights stay in L2. Axis 0 is contracted
-a group of nodes at a time: a tile at d = 1 (row sums) and at d >= 3 (one
-axis-0 node at a time), and at d = 2 a GEMM block of
-2^17 // cols nodes (``_GEMM_ELEMS``), written tile by tile and
-multiplied with the axis-1 matrix at once. The matrices of axes >= 1 are
-kept whole for the chunk. Workspaces are made once per call: memory is
-O(cols * sum_{j>=1} m_j) plus one workspace per node block, which holds
-the axis-0 group and the weight tile, and a partial field per level of
-the split.
+since a node's row is) as it goes. Each tile is weighted on the
+derivative axis as it is written, so a tile and its weights stay in L2.
+A tile is cut nowhere else. The matrices of axes >= 1 are whole axes.
+A node block is a range of axis-0 nodes, walked a group at a time: a
+tile at d = 1 (row sums) and at d >= 3 (one axis-0 node at a time), and
+at d = 2 a GEMM block of 2^17 // cols nodes (``_GEMM_ELEMS``), written
+tile by tile and multiplied with the axis-1 matrix at once. Workspaces
+are made once per call: memory is O(cols * sum_{j>=1} m_j) plus one
+workspace per node block, which holds the axis-0 group and the weight
+tile, and a partial field per level of the split.
 
 The last two axes of a d >= 2 field are contracted by one BLAS GEMM
 (``np.matmul``) on numpy's bundled OpenBLAS, held at one thread while any
@@ -57,6 +58,7 @@ and the bandwidth rules stay on the calling thread
 
 import contextlib
 import ctypes
+import functools
 import itertools
 import math
 import os
@@ -264,23 +266,22 @@ def _field(data, axes, b, axis=None):
     k = min(cols, n)
     step = max(1, _TILE_ELEMS // k)
     rows = _GEMM_ELEMS // cols if len(axes) == 2 else step
-    # the node terms, once per field and axis, cut into tiles. Past the
-    # float range a log kernel runs to -inf, a kernel of 0, and the
-    # terms to inf or nan, which only a non-finite total shows; numpy's
-    # error state does not carry into pool threads. A shape x/b that
+    # the node terms, once per field and axis. Past the float range a
+    # log kernel runs to -inf, a kernel of 0, and the terms to inf or
+    # nan, which only a non-finite total shows. A shape x/b that
     # overflows is refused here, before any pool starts
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         terms = [node_terms(a[:, None], bj, j == axis)
                  for j, (a, bj) in enumerate(zip(axes, b))]
     p = _workers(shape[0], n * shape[0]) if len(axes) == 1 else 1
-    rest = [_tiles(t, 0, m, step) for t, m in zip(terms[1:], shape[1:])]
-    # each block's workspaces: one for its axis-0 group and the derivative
-    # weight tile, a matrix per axis >= 1 and at d >= 3 a product buffer
-    # per axis 1 to d - 2. All are made here, in the calling thread, which
-    # keeps the pool threads' heaps small (BENCH_node-blocks.json). The
-    # group and the weight tile share one array of 2 MB or less, under the
-    # 4 MiB from which numpy asks for huge pages (BENCH_steady-rss.json);
-    # as one array glibc does not trim it off the heap after every call
+    # each block is a range of axis-0 nodes and its workspaces: one for
+    # its axis-0 group and the derivative weight tile, a matrix per axis
+    # >= 1 and at d >= 3 a product buffer per axis 1 to d - 2. All are
+    # made here, in the calling thread, which keeps the pool threads'
+    # heaps small (BENCH_node-blocks.json). The group and the weight tile
+    # share one array of 2 MB or less, under the 4 MiB from which numpy
+    # asks for huge pages (BENCH_steady-rss.json); as one array glibc
+    # does not trim it off the heap after every call
     blocks = []
     for nodes in np.array_split(np.arange(shape[0]), p):
         sizes = [nodes.size] + shape[1:]
@@ -290,18 +291,13 @@ def _field(data, axes, b, axis=None):
         work = [shared[:group]] + [np.empty(m * k) for m in shape[1:]]
         weights = None if axis is None else shared[group:]
         prods = [np.empty(m * k) for m in shape[1:-1]]
-        groups = [_tiles(terms[0], a, min(a + rows, nodes[-1] + 1), step)
-                  for a in range(nodes[0], nodes[-1] + 1, rows)]
-        blocks.append(([groups] + rest, work, weights, prods))
-
-    def block_sum(block):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _sum_terms(data, b, cols, block)
-
+        blocks.append((nodes[0], nodes[-1] + 1, work, weights, prods))
     hold = (_BLAS if len(axes) > 1 and _BLAS is not None
             else contextlib.nullcontext())
     with hold:
-        values = np.concatenate(_thread_map(block_sum, blocks, p)) / n
+        values = np.concatenate(_thread_map(
+            functools.partial(_sum_terms, data, b, terms, cols, step, rows),
+            blocks, p)) / n
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise ValueError(f"the estimate is not finite at {bad} of "
@@ -310,42 +306,41 @@ def _field(data, axes, b, axis=None):
     return values
 
 
-def _tiles(terms, lo, hi, step):
-    """The terms of nodes ``lo`` to ``hi`` - 1, ``step`` nodes a tile."""
-    return [terms.rows(a, min(a + step, hi)) for a in range(lo, hi, step)]
-
-
-def _sum_terms(data, b, cols, block):
+# numpy's error state does not carry into pool threads, so each block
+# sets its own: past the float range a kernel is 0 and a term inf or nan
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _sum_terms(data, b, terms, cols, step, rows, block):
     """Sum the per-observation terms over the rows of ``data``, at the
-    axis-0 nodes of ``block`` and every node of the axes >= 1, one
-    axis-0 group of tiles at a time. Rows are split where numpy's
-    pairwise ``sum`` over all of them would split."""
+    axis-0 nodes ``lo`` to ``hi`` - 1 of ``block`` and every node of the
+    axes >= 1, ``rows`` axis-0 nodes at a time. Rows are split where
+    numpy's pairwise ``sum`` over all of them would split."""
     n = data.shape[0]
     if n > cols:
         half = n // 2
         half -= half % 8
-        return (_sum_terms(data[:half], b, cols, block)
-                + _sum_terms(data[half:], b, cols, block))
-    (groups, *rest), work, weights, prods = block
-    obs = [obs_terms(data[None, :, j], b[j], t[0].psi is not None)
-           for j, t in enumerate([groups[0]] + rest)]
-    mats = [_matrix(*args, weights) for args in zip(rest, obs[1:], work[1:])]
+        args = (b, terms, cols, step, rows, block)
+        return _sum_terms(data[:half], *args) + _sum_terms(data[half:], *args)
+    lo, hi, work, weights, prods = block
+    obs = [obs_terms(data[None, :, j], b[j], t.psi is not None)
+           for j, t in enumerate(terms)]
+    mats = [_matrix(t, 0, t.r1.size, step, o, w, weights)
+            for t, o, w in zip(terms[1:], obs[1:], work[1:])]
     return np.concatenate([
-        _contract(_matrix(g, obs[0], work[0], weights), mats, prods)
-        for g in groups])
+        _contract(_matrix(terms[0], a, min(a + rows, hi), step, obs[0],
+                          work[0], weights), mats, prods)
+        for a in range(lo, hi, rows)])
 
 
-def _matrix(tiles, obs, work, weights):
-    """The (node x row) kernel matrix of the node ``tiles`` of one axis,
-    written into ``work`` a tile at a time; on the derivative axis each
-    tile is weighted as it is written, its weights in ``weights``."""
-    k = obs.logt.size
-    lo = 0
-    for t in tiles:
-        hi = lo + t.r1.shape[0]
-        kernel_into(t, obs, work[lo * k: hi * k].reshape(-1, k), weights)
-        lo = hi
-    return work[: lo * k].reshape(lo, k)
+def _matrix(terms, lo, hi, step, obs, work, weights):
+    """The (node x row) kernel matrix of nodes ``lo`` to ``hi`` - 1 of
+    one axis, written into ``work`` ``step`` nodes a tile at a time; on
+    the derivative axis each tile is weighted as it is written, its
+    weights in ``weights``."""
+    out = work[: (hi - lo) * obs.logt.size].reshape(hi - lo, -1)
+    for a in range(lo, hi, step):
+        kernel_into(terms.rows(a, min(a + step, hi)), obs,
+                    out[a - lo: a - lo + step], weights)
+    return out
 
 
 def _contract(first, mats, prods, out=None):

@@ -191,11 +191,6 @@ def l_term(t, x, b):
     return _scalar(_l(nodes, obs, out))
 
 
-def grad_prefactor(x, b):
-    """d(rho)/dx over the two branches: 1/b interior, x/(2 b^2) boundary."""
-    return _scalar(node_terms(x, b, grad=True).slope)
-
-
 def kernel_grad_x(t, x, b):
     """Partial derivative of the kernel in the evaluation coordinate x:
     K L d(rho)/dx, written as the fields' derivative tiles are by

@@ -380,96 +380,52 @@ def test_factored_matches_tensor_grid(monkeypatch):
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+def _rule_model(d):
+    """A product model of d = 2 or 3; at d = 3 one without marginals,
+    since a product is integrated axis by axis."""
+    m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
+    return _stacked(m) if d == 3 else m
+
+
+def _rule_bits(m):
+    """The density, derivative and mixing integrals of ``m``, as hex."""
+    mp = MixingProfile(upsilon=0.5, alpha_integral=2.0)
+    values = [v for which in ("density", "derivative")
+              for v in bandwidth._reference_integrals(m, which)]
+    values.append(mixing_bandwidth(m, 1000, mp).metadata["numerator"])
+    return tuple(v.hex() for v in values)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_slab_size_does_not_change_bits(monkeypatch, d):
-    # slabs of 1 row, of 6 rows with a short last one, and the whole
-    # grid; at d = 3 the grid is a model's without marginals, since a
-    # product is integrated axis by axis
+    # slabs of 1 row, of 6 rows with a short last one, and the whole grid
     monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41, 3: 41})
-    m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
-    if d == 3:
-        m = _stacked(m)
+    m = _rule_model(d)
     got = set()
     for rows in (1, 6, 41):
         monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", rows * 41 ** (d - 1))
-        got.add(tuple(v.hex() for which in ("density", "derivative")
-                      for v in bandwidth._reference_integrals(m, which)))
+        got.add(_rule_bits(m))
     assert len(got) == 1
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_slab_threads_do_not_change_bits(monkeypatch, pool_sizes, d):
-    # slabs of 1 row, and of 6 rows with a short last one: the density,
-    # derivative and mixing integrals keep their bits, and with every
-    # grid past the 2^20 gate of the node blocks and 3 usable CPUs the
-    # slabs still run on the calling thread. At d = 3 the grid is a
-    # model's without marginals
+    # the rules open no pool: with the node blocks' gate forced open and
+    # 3 usable CPUs, the rule integrals, in slabs of 6 rows with a short
+    # last one, run on the calling thread, from the main thread and from
+    # a worker, with the bits of the shipped gates
     monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41, 3: 41})
+    monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41 ** (d - 1))
+    m = _rule_model(d)
+    want = _rule_bits(m)
     monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
-    m = product_gamma([3.0, 4.5, 3.5][:d], [1.0, 0.5, 1.5][:d])
-    if d == 3:
-        m = _stacked(m)
-    mp = MixingProfile(upsilon=0.5, alpha_integral=2.0)
-    got = set()
-    for rows in (1, 6):
-        monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", rows * 41 ** (d - 1))
-        values = [v for which in ("density", "derivative")
-                  for v in bandwidth._reference_integrals(m, which)]
-        values.append(mixing_bandwidth(m, 1000, mp).metadata["numerator"])
-        got.add(tuple(v.hex() for v in values))
-    assert len(got) == 1
-    assert pool_sizes == []
-
-
-def test_rule_off_the_main_thread_stays_serial(monkeypatch, pool_sizes):
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 0)
-    monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41})
-    monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41)
-    m = product_gamma([3.0, 3.0])
-    want = density_bandwidth(m, 1000).C
-    got = []
-    worker = threading.Thread(
-        target=lambda: got.append(density_bandwidth(m, 1000).C))
+    got = [_rule_bits(m)]
+    worker = threading.Thread(target=lambda: got.append(_rule_bits(m)))
     worker.start()
     worker.join(timeout=60)
     assert not worker.is_alive()
-    assert got == [want]
-    assert pool_sizes == []
-
-
-def test_d2_rule_grid_stays_on_the_calling_thread(monkeypatch, pool_sizes):
-    # the 801^2 grid holds 641,601 nodes, below the 2^20 gate
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
-    density_bandwidth(product_gamma([3.0, 3.0]), 1000)
-    assert pool_sizes == []
-
-
-def test_d3_rule_grid_past_the_gate_keeps_its_bits(monkeypatch, pool_sizes):
-    # 102^3 = 1,061,208 nodes of a model without marginals, past the
-    # 2^20 gate of the node blocks, on the calling thread at any CPU count
-    monkeypatch.setattr(bandwidth, "_RULE_NODES", {3: 102})
-    m = _stacked(product_gamma([3.0, 4.5, 3.5], [1.0, 0.5, 1.5]))
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 1)
-    want = density_bandwidth(m, 1000).C
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
-    got = density_bandwidth(m, 1000).C
-    assert pool_sizes == []
-    assert got.hex() == want.hex()
-
-
-def test_rule_gate_opens_at_its_size(monkeypatch, pool_sizes):
-    # a 41^2 grid in slabs of 6 rows opens no pool at a gate of exactly
-    # its node count, nor one node above it: the gate is the node blocks'
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(bandwidth, "_RULE_NODES", {2: 41})
-    monkeypatch.setattr(bandwidth, "_SLAB_ELEMS", 6 * 41)
-    m = product_gamma([3.0, 3.0])
-    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 41 * 41)
-    want = density_bandwidth(m, 1000).C
-    monkeypatch.setattr(estimator, "_SPLIT_ELEMS", 41 * 41 + 1)
-    assert density_bandwidth(m, 1000).C == want
+    assert got == [want, want]
     assert pool_sizes == []
 
 
@@ -589,6 +545,18 @@ class TestPlugIn:
             got = plug_in_bandwidth(c * data, which, stages)
             assert got.bandwidth(len(data)) == pytest.approx(c * want,
                                                              rel=1e-12)
+
+    @pytest.mark.parametrize("stages", [1, 2])
+    def test_reference_past_half_the_quantile_rejected(self, stages):
+        # column 1: uniform on (0, 1e-3) but for one far outlier, which
+        # inflates its moment-matched scale; refused before a pilot would
+        # run on a grid from 2b to the 0.999 quantile
+        spike = (np.arange(2000) + 0.5) / 2e6
+        spike[0] = 1e3
+        data = np.column_stack([self._gamma3_sample(2000), spike])
+        with pytest.raises(ValueError, match=r"column 1: the reference "
+                           r"bandwidth b\(2000\) = .* 0\.999 quantile"):
+            plug_in_bandwidth(data, which="density", stages=stages)
 
     def test_too_few_observations(self):
         with pytest.raises(ValueError, match="50"):

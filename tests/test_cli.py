@@ -256,11 +256,15 @@ BAD_INPUT = {
     "bandwidth-pilot-zero": "bandwidth --which density --n 60 "
                             "--model data:{flat} --stages 2",
     # b0 from the moment-matched scale of a sample with one far outlier
-    # exceeds half its 0.999 quantile
+    # exceeds half its 0.999 quantile, at either stage
     "plugin-pilot-collapsed": "estimate --input {spike} --output {out} "
                               "--rule plugin --stages 2",
     "bandwidth-pilot-collapsed": "bandwidth --which density --n 1000 "
                                  "--model data:{spike} --stages 2",
+    "plugin-reference-too-wide": "estimate --input {spike} --output {out} "
+                                 "--rule plugin",
+    "bandwidth-reference-too-wide": "bandwidth --which density --n 1000 "
+                                    "--model data:{spike}",
     # mixing integrals that are not finite, or 0
     "alpha-integral-inf": "bandwidth --which density --n 1000 "
                           "--model gamma:3.0,1.0 --upsilon 0.5 "
@@ -280,6 +284,9 @@ BAD_INPUT = {
                                "--n-grid 5,10,20 --replicates 2 "
                                "--b 1e-300 --marginal gamma:0.05,1e-300",
 }
+
+_TOO_WIDE = ("column 0: the reference bandwidth b(10000) = 1.02799 is at "
+             "least half the column's 0.999 quantile, 0.99905")
 
 # integer lower bounds, sample-size grids, bandwidths and marginal
 # parameters are checked while the arguments are parsed, so the error names
@@ -323,10 +330,10 @@ BAD_INPUT_MESSAGE = {
     "simulate-rule-zero": "the rule needs a finite positive integral",
     "plugin-pilot-zero": "the rule needs a finite positive integral",
     "bandwidth-pilot-zero": "the rule needs a finite positive integral",
-    "plugin-pilot-collapsed": "pilot grid collapsed: bandwidth too large "
-                              "for data",
-    "bandwidth-pilot-collapsed": "pilot grid collapsed: bandwidth too large "
-                                 "for data",
+    "plugin-pilot-collapsed": _TOO_WIDE,
+    "bandwidth-pilot-collapsed": _TOO_WIDE,
+    "plugin-reference-too-wide": _TOO_WIDE,
+    "bandwidth-reference-too-wide": _TOO_WIDE,
     "alpha-integral-inf": "alpha_integral must be finite and >= 0, got inf",
     "alpha-integral-nan": "alpha_integral must be finite and >= 0, got nan",
     "alpha-integral-zero": "mixing rule needs alpha_integral > 0",

@@ -27,10 +27,10 @@ from gammakde.estimator import (
     save_field,
 )
 from gammakde.kernel import (
-    grad_prefactor,
     kernel_eval,
     l_term,
     log_kernel_eval,
+    node_terms,
 )
 
 
@@ -50,8 +50,8 @@ def _naive_partial_terms(data, x, b, axis):
         prod = 1.0
         for j in range(data.shape[1]):
             prod *= kernel_eval(row[j], x[j], b[j])
-        terms.append(grad_prefactor(x[axis], b[axis]) * l_term(
-            row[axis], x[axis], b[axis]) * prod)
+        slope = node_terms(x[axis], b[axis], grad=True).slope
+        terms.append(slope * l_term(row[axis], x[axis], b[axis]) * prod)
     return np.array(terms)
 
 
@@ -286,7 +286,7 @@ def _one_pass_mats(data, axes, b, axis):
         mat = np.exp(log_kernel_eval(col[None, :], nodes[:, None], b[j]))
         if j == axis:
             pos = col > 0.0
-            c = grad_prefactor(nodes, b[j])[:, None] * l_term(
+            c = node_terms(nodes, b[j], grad=True).slope[:, None] * l_term(
                 np.where(pos, col, 1.0)[None, :], nodes[:, None], b[j])
             mat *= np.where((nodes > 0.0)[:, None] & pos, c, 0.0)
         mats.append(mat)

@@ -8,7 +8,6 @@ from scipy.stats import gamma as gamma_dist
 
 from gammakde import kernel
 from gammakde.kernel import (
-    grad_prefactor,
     kernel_eval,
     kernel_grad_x,
     kernel_into,
@@ -169,8 +168,9 @@ class TestKernelGradX:
                                                              rel=1e-10)
 
     def test_prefactor_branches(self):
-        assert grad_prefactor(1.0, 0.1) == pytest.approx(10.0)
-        assert grad_prefactor(0.1, 0.1) == pytest.approx(0.1 / 0.02)
+        # d(rho)/dx: 1/b interior, x/(2 b^2) on the boundary branch
+        slope = node_terms(np.array([1.0, 0.1]), 0.1, grad=True).slope
+        assert slope == pytest.approx([10.0, 0.1 / 0.02])
 
     def test_matches_finite_difference(self):
         rng = np.random.Generator(np.random.Philox(key=11))
@@ -258,7 +258,8 @@ class TestOneFormula:
         assert kernel_eval(self.T, self.X, b).tobytes() == \
             np.exp(logk).tobytes()
         assert l_term(pos, self.X, b).tobytes() == lt[:, 1:].tobytes()
-        assert grad_prefactor(self.X, b).tobytes() == slope.tobytes()
+        assert node_terms(self.X, b, grad=True).slope.tobytes() == \
+            slope.tobytes()
         want = _grad_tile(self.T, self.X, logk, lt, slope)
         assert kernel_grad_x(self.T, self.X, b).tobytes() == want.tobytes()
         # and one point at a time
