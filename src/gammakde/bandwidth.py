@@ -77,8 +77,8 @@ class BandwidthRule:
         return "\n".join(lines)
 
 
-# past the float range an integrand is inf or nan, which the slab check
-# (on the grid) or ``_check_integrals`` (axis by axis) refuses
+# past the float range an integrand is inf or nan; the trapezoid sums
+# carry it into the integral, which ``_check_integrals`` refuses
 @np.errstate(all="ignore")
 def _power_sub_integrals(m, integrands, p, names, curvature=True):
     """Integrals over model m's box after the substitution x_j = u_j^p.
@@ -90,7 +90,9 @@ def _power_sub_integrals(m, integrands, p, names, curvature=True):
     removes the x^(-1/2) origin weights of an integrable reference. The
     box runs from a tiny cutoff to the per-axis quantile leaving out 1e-7
     of the mass, which must be finite; a probe first refuses an
-    integrand that diverges at the origin.
+    integrand that diverges at the origin. An integrand that is not
+    finite elsewhere gives an integral that is not, which the rules'
+    ``_check_integrals`` refuses.
 
     A product model at d >= 3 takes ``_Separable`` factors on
     _RULE_NODES[1] nodes: each integrand is a sum of products of 1-d
@@ -167,11 +169,7 @@ def _power_sub_integrals(m, integrands, p, names, curvature=True):
         vals = _weighted(m, integrands, [jacs[0][slab]] + jacs[1:],
                          [[t[slab] for t in terms[0]]] + terms[1:],
                          curvature)
-        for name, v, acc in zip(names, vals, out):
-            if not np.all(np.isfinite(v)):
-                raise DivergentIntegralError(
-                    f"{name}: non-finite integrand near the origin"
-                )
+        for v, acc in zip(vals, out):
             acc[slab] = trapezoid_nd(v, axes[1:])
     return [trapezoid_nd(acc, axes[:1]) for acc in out]
 

@@ -71,8 +71,9 @@ class NodeTerms(namedtuple("NodeTerms",
 
 class ObsTerms(namedtuple("ObsTerms", "logt tb t_zero lt")):
     """Per-observation terms: ln t, t/b and the t = 0 mask (None where no
-    t is 0); on the derivative axis also ln t' - ln b, where t' is t, or
-    1 where t = 0 (None off it)."""
+    t is 0); on the derivative axis also ln t - ln b (None off it). At
+    t = 0 both logs are -inf: the mask writes the log kernel's limit
+    there, and c = 0 in ``kernel_into``; ``l_term`` refuses t = 0."""
 
     __slots__ = ()
 
@@ -92,14 +93,13 @@ def node_terms(x, b, grad=False):
 
 
 def obs_terms(t, b, grad=False):
-    """The ``ObsTerms`` of the data points ``t`` (not validated); ln t'
-    - ln b with ``grad``."""
-    t_zero = _mask(t == 0.0)
-    lt = None
-    if grad:
-        lt = np.log(t if t_zero is None else np.where(t_zero, 1.0, t))
-        lt -= np.log(b)
-    return ObsTerms(np.log(t), t / b, t_zero, lt)
+    """The ``ObsTerms`` of the data points ``t`` (not validated); ln t
+    - ln b with ``grad``. Both logs are -inf at t = 0, where
+    ``_log_kernel`` and ``kernel_into`` write the limits through the
+    t = 0 mask."""
+    logt = np.log(t)
+    lt = logt - np.log(b) if grad else None
+    return ObsTerms(logt, t / b, _mask(t == 0.0), lt)
 
 
 def _mask(m):

@@ -170,10 +170,10 @@ class GammaMarginal:
         x = np.asarray(x, dtype=float)
         k, th = self.shape, self.scale
         logg = (k - 1.0) * np.log(x) - x / th - gammaln(k) - k * np.log(th)
+        # at x = 0 the log is -inf for k > 1 and +inf for k < 1, whose
+        # exp is the limit; at k = 1 it is 0 * (-inf), which is nan
         out = np.exp(logg)
-        if k > 1.0:
-            out = np.where(x == 0.0, 0.0, out)
-        elif k == 1.0:
+        if k == 1.0:
             out = np.where(x == 0.0, 1.0 / th, out)
         return out
 
@@ -307,36 +307,31 @@ def _product_model(marginals):
     d = len(marginals)
 
     @np.errstate(all="ignore")
-    def _stack(x, order_by_axis):
-        """Product over axes of the requested per-axis derivative order."""
+    def rule(x, *axes):
+        """The partial of f in ``axes``: the product over j of marginal
+        j's derivative of the order in which axis j appears in ``axes``,
+        multiplied from axis 0 up."""
         x = np.asarray(x, dtype=float)
         out = np.ones(x.shape[:-1])
         for j, m in enumerate(marginals):
-            order = order_by_axis.get(j, 0)
-            fn = (m.pdf, m.d1, m.d2, m.d3)[order]
+            fn = (m.pdf, m.d1, m.d2, m.d3)[axes.count(j)]
             out = out * fn(x[..., j])
         return out
 
     def pdf(x):
-        return _stack(x, {})
+        return rule(x)
 
     def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([_stack(x, {j: 1}) for j in range(d)], axis=-1)
+        return np.stack([rule(x, j) for j in range(d)], axis=-1)
 
     def hess_diag(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([_stack(x, {j: 2}) for j in range(d)], axis=-1)
+        return np.stack([rule(x, j, j) for j in range(d)], axis=-1)
 
     def third(x, j, i):
-        if i == j:
-            return _stack(x, {j: 3})
-        return _stack(x, {j: 2, i: 1})
+        return rule(x, j, j, i)
 
     def mixed(x, a, j):
-        if a == j:
-            return _stack(x, {j: 2})
-        return _stack(x, {a: 1, j: 1})
+        return rule(x, a, j)
 
     def quantile(q):
         return np.array([m.quantile(q) for m in marginals])

@@ -287,6 +287,14 @@ class TestFactoredRules:
         assert _grid_calls(sizes) == {"pdf": [4001] * 6, "d2": [4001] * 6}
         assert peak < 64e6
 
+    def test_four_dimensions_need_marginals(self):
+        # the open grid of a model without marginals stops at d = 3
+        m = _stacked(product_gamma([3.0] * 4))
+        with pytest.raises(ValueError, match="rule integrals of a model "
+                           "without marginals support at most 3 "
+                           r"dimensions \(tau <= 2\), got d=4"):
+            density_bandwidth(m, 1000)
+
 
 def _count_marginal_values(m):
     """Wrap each marginal's pdf and d2 to record how many values every
@@ -616,6 +624,12 @@ class TestPlugIn:
     def test_staging_contract(self):
         with pytest.raises(ValueError, match="stages"):
             plug_in_bandwidth(self._gamma3_sample(1000), stages=3)
+
+    def test_rejects_unknown_which(self):
+        # the mixing rule needs a mixing profile, which a sample lacks
+        with pytest.raises(ValueError, match="which must be 'density' or "
+                           "'derivative'"):
+            plug_in_bandwidth(self._gamma3_sample(100), which="mixing")
 
 
 class TestBandwidthRule:

@@ -250,6 +250,13 @@ BAD_INPUT = {
     "simulate-rule-zero": "simulate --output {out} --seed 1 "
                           "--n-grid 5,10,20 --replicates 2 "
                           "--marginal gamma:3,1e300",
+    # a rule integrand that overflows over the whole box, not only near
+    # the origin
+    "derivative-rule-inf": "bandwidth --which derivative --tau 1 --n 1000 "
+                           "--model gamma:3,1e-300",
+    "mixing-rule-nan": "bandwidth --which density --tau 0 --n 1000 "
+                       "--model gamma:3,1e-300 --upsilon 0.5 "
+                       "--alpha-integral 2.0",
     # the pilot integrals of a sample with almost no spread are 0
     "plugin-pilot-zero": "estimate --input {flat} --output {out} "
                          "--rule plugin --stages 2",
@@ -328,6 +335,8 @@ BAD_INPUT_MESSAGE = {
     "density-rule-zero": "density-rule denominator is 0",
     "mixing-rule-zero": "mixing-rule numerator is 0",
     "simulate-rule-zero": "the rule needs a finite positive integral",
+    "derivative-rule-inf": "derivative-rule numerator is inf",
+    "mixing-rule-nan": "mixing-rule numerator is nan",
     "plugin-pilot-zero": "the rule needs a finite positive integral",
     "bandwidth-pilot-zero": "the rule needs a finite positive integral",
     "plugin-pilot-collapsed": _TOO_WIDE,

@@ -277,6 +277,12 @@ class TestFieldOnGrid:
         with pytest.raises(ValueError):
             field_on_grid(_sample(2), [np.array([1.0])], 0.1)
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind must be 'density' or "
+                           "'derivative'"):
+            field_on_grid(_sample(1), [np.linspace(0.1, 1.0, 5)], 0.1,
+                          kind="log")
+
 
 def _one_pass_mats(data, axes, b, axis):
     """Per-axis (node x sample) matrices over the whole sample at once."""

@@ -286,6 +286,31 @@ class TestProductModels:
         assert m.mixed(x, 0, 0)[0] == pytest.approx(
             m0.d2(1.2) * m1.pdf(0.9), rel=1e-12)
 
+        # at d = 3 an axis outside (j, i) contributes its pdf
+        shapes, scales = [3.0, 2.0, 4.5], [1.0, 0.5, 2.0]
+        gs = [GammaMarginal(k, s) for k, s in zip(shapes, scales)]
+        m = product_gamma(shapes, scales)
+        x = np.array([[1.2, 0.9, 3.1]])
+
+        def want(*orders):
+            # the product of each marginal's derivative of its order
+            return np.prod([(g.pdf, g.d1, g.d2, g.d3)[o](x[0, a])
+                            for a, (g, o) in enumerate(zip(gs, orders))])
+
+        def orders(*axes):
+            return [sum(a == j for a in axes) for j in range(3)]
+
+        for j in range(3):
+            assert m.grad(x)[0, j] == pytest.approx(want(*orders(j)),
+                                                    rel=1e-12)
+            assert m.hess_diag(x)[0, j] == pytest.approx(
+                want(*orders(j, j)), rel=1e-12)
+            for i in range(3):
+                assert m.third(x, j, i)[0] == pytest.approx(
+                    want(*orders(j, j, i)), rel=1e-12)
+                assert m.mixed(x, j, i)[0] == pytest.approx(
+                    want(*orders(j, i)), rel=1e-12)
+
     def test_quantile_is_per_axis(self):
         m = product_gamma([3.0, 1.0], scales=[1.0, 2.0])
         q = m.quantile(0.5)

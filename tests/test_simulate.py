@@ -340,6 +340,12 @@ class TestConfigValidation:
             ExperimentConfig(process=EXP_SPEC, n_grid=[100], replicates=2,
                              tau=0, seed=1, bandwidth=0.2, workers=0)
 
+    def test_needs_known_which(self):
+        with pytest.raises(ValueError, match="which must be 'density' or "
+                           "'derivative'"):
+            ExperimentConfig(process=EXP_SPEC, n_grid=[100], replicates=2,
+                             tau=0, seed=1, bandwidth=0.2, which="mixing")
+
     def test_rule_bandwidth_resolves_per_n(self):
         from gammakde.bandwidth import BandwidthRule
         rule = BandwidthRule(kind="X", C=1.0, e=0.4)

@@ -12,7 +12,12 @@ from scipy.integrate import quad
 
 from gammakde import theory
 from gammakde.kernel import kernel_eval, kernel_grad_x
-from gammakde.models import GammaMarginal, product_exponential, product_gamma
+from gammakde.models import (
+    GammaMarginal,
+    from_pdf,
+    product_exponential,
+    product_gamma,
+)
 from gammakde.theory import (
     MixingProfile,
     OutOfValidityError,
@@ -305,6 +310,19 @@ class TestMiseLeading:
         with pytest.raises(ValueError, match="domain needs 1"):
             mise_leading(EXP1, 0.1, 1000, "density", [(0.3, 5.0)] * 2)
 
+    def test_rejects_reversed_interval(self):
+        with pytest.raises(ValueError, match=r"bad integration interval "
+                           r"\(1.0, 0.5\)"):
+            mise_leading(GAMMA3, 0.1, 1000, "density", [(1.0, 0.5)])
+
+    def test_rejects_non_finite_integrand(self):
+        # a reference whose pdf is nan past x = 3, inside the box
+        m = from_pdf(lambda x: np.where(x[..., 0] > 3, np.nan,
+                                        np.exp(-x[..., 0])), 1)
+        with pytest.raises(FloatingPointError,
+                           match="non-finite MISE integrand on the grid"):
+            mise_leading(m, 0.1, 1000, "density", [(0.5, 5.0)])
+
 
 @pytest.mark.parametrize("b", [np.nan, -0.1, 0.0])
 @pytest.mark.parametrize("expansion", [
@@ -339,6 +357,11 @@ def test_rejects_non_finite_point(expansion, coord):
     # both would reach the expansion; -inf gets the same message
     with pytest.raises(ValueError, match="point must be finite"):
         expansion([coord])
+
+
+def test_rejects_wrong_point_dimension():
+    with pytest.raises(ValueError, match="point must have dimension 2"):
+        bias_density(product_gamma([3.0, 3.0]), [1.0], 0.1)
 
 
 class TestExpansionReport:
