@@ -59,7 +59,6 @@ and the bandwidth rules stay on the calling thread
 import contextlib
 import ctypes
 import functools
-import itertools
 import math
 import os
 import threading
@@ -68,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._spell import spell
 from .kernel import kernel_into, node_terms, obs_terms
 
 __all__ = [
@@ -106,6 +106,8 @@ _TILE_ELEMS = 1 << 17
 # count of the left matrix, so it comes from the grid alone, never from
 # the tile size, n or the CPU count
 _GEMM_ELEMS = 1 << 17
+# lines of text that save_field formats and writes at once
+_WRITE_LINES = 1 << 12
 
 
 @dataclass
@@ -513,14 +515,57 @@ def _load_lines(path, fh):
 def save_field(field, path):
     """Write a FieldOnGrid as delimited text: coordinates then value per line.
 
-    Nodes run in C order (last axis fastest), and each row of the last
-    axis is one ``%`` format and one write, so memory stays at a row.
+    Nodes run in C order (last axis fastest). Every cell holds the bytes
+    of Python's ``'%.16e'`` and ends in ',' or, after the value, in a
+    newline. The cells are spelled in numpy (``_spell.spell``): those of
+    the coordinates once per axis node, the values in blocks of at most
+    2^12 lines (``_WRITE_LINES``), whole rows of the last axis or, where
+    one row is longer, part of a row. A block is one uint8 array, a byte
+    column per character, with NUL pads in the cells that are short; the
+    pads are dropped as the block is written, so memory stays at a block.
+
+    The fast path scales |v| by 10^(16 - E) in double-double arithmetic
+    (``_spell.decimal17``) to within about 1e-14 of the 17-digit integer
+    it rounds. Python's ``'%.16e'`` formats, into its own line, each
+    value that this cannot decide: a non-finite value, zero or any other
+    value outside [1e-270, 1e270] (subnormals among them), one whose
+    scaled value lies within 1e-9 of a rounding tie (exact ties such as
+    2^-25 among them), and one whose exponent one correction does not
+    find. So the bytes do not depend on the fast path's error.
     """
-    *lead, last = [[f"{c:.16e}," for c in np.asarray(a).tolist()]
-                   for a in field.axes]
-    # joined with a head, the cells read head,c_0,%.16e\n head,c_1,...
-    cells = [""] + [c + "%.16e\n" for c in last]
-    rows = field.values.reshape(-1, len(last))
+    axes = [np.asarray(a, dtype=float).ravel() for a in field.axes]
+    shape = tuple(a.size for a in axes)
+    values = np.asarray(field.values)
+    if values.shape != shape:
+        raise ValueError(f"field values have shape {values.shape}, "
+                         f"but its axes make a grid of shape {shape}")
+    # a block is `step` rows of the last axis, or `cut` nodes of one row
+    m = shape[-1]
+    step = _WRITE_LINES // max(m, 1) or 1
+    cut = min(m, _WRITE_LINES) or 1
+    values = values.astype(float, copy=False).reshape(-1, m)
+    # the cells of every axis node are spelled with the first block;
+    # columns that are a pad in every cell of an axis are dropped
+    nodes = sum(shape)
+    first = spell(np.concatenate(axes + [values[:step, :cut].ravel()]))
+    first[:nodes, -1] = ord(",")
+    *lead, last = [c[:, (c != 0).any(axis=0)]
+                   for c in np.split(first[:nodes], np.cumsum(shape)[:-1])]
+    width = sum(c.shape[1] for c in lead) + last.shape[1] + 25
     with open(path, "w") as fh:
-        for head, row in zip(map("".join, itertools.product(*lead)), rows):
-            fh.write(head.join(cells) % tuple(row.tolist()))
+        for r in range(0, values.shape[0], step):
+            rows = np.arange(r, min(r + step, values.shape[0]))
+            heads = [c[i] for c, i in zip(
+                lead, np.unravel_index(rows, shape[:-1]) if lead else ())]
+            for col in range(0, m, cut):
+                block = values[r: r + step, col: col + cut]
+                text = np.empty((block.size, width), np.uint8)
+                grid = text.reshape(block.shape + (width,))
+                at = 0
+                for head in heads:
+                    grid[:, :, at: at + head.shape[1]] = head[:, None]
+                    at += head.shape[1]
+                grid[:, :, at: -25] = last[col: col + cut]
+                text[:, -25:] = (first[nodes:] if r == col == 0
+                                 else spell(block.ravel()))
+                fh.write(text.tobytes().replace(b"\0", b"").decode("ascii"))

@@ -151,9 +151,10 @@ class GammaMarginal:
     With u(x) = (k-1)/x - 1/theta the derivatives of the pdf g are
     g' = g u, g'' = g (u^2 + u'), g''' = g (u^3 + 3 u u' + u'').
 
-    Near the float range a power of x or u overflows; pdf, d1-d3 and
-    quantile ignore that on whichever thread they run (numpy's error
-    state is per thread), and their callers check for non-finite results.
+    Near the float range a power of x or u overflows; pdf, d1-d3,
+    quantile and from_normal ignore that on whichever thread they run
+    (numpy's error state is per thread), and their callers check for
+    non-finite results.
     """
 
     def __init__(self, shape, scale=1.0):
@@ -209,6 +210,7 @@ class GammaMarginal:
     def quantile(self, q):
         return self.scale * gammaincinv(self.shape, q)
 
+    @np.errstate(all="ignore")
     def from_normal(self, z):
         """The x with F(x) = Phi(z), for latent standard normal z.
 

@@ -13,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammakde import estimator
 from gammakde.estimator import (
@@ -960,6 +962,101 @@ class TestIO:
         p = tmp_path / "f.csv"
         save_field(field, p)
         assert p.read_bytes() == self._literal_bytes(field)
+
+
+def _old_writer_bytes(field):
+    # '%.16e' cells joined as the per-row writer before the numpy one did
+    *lead, last = [[f"{c:.16e}," for c in np.asarray(a).tolist()]
+                   for a in field.axes]
+    cells = [""] + [c + "%.16e\n" for c in last]
+    rows = np.asarray(field.values).reshape(-1, len(last))
+    return "".join(
+        head.join(cells) % tuple(row.tolist())
+        for head, row in zip(map("".join, itertools.product(*lead)), rows)
+    ).encode()
+
+
+def _directed_doubles():
+    """Powers of two and their neighbours (exact ties among them), powers
+    of ten and theirs, 9.99...95e+-k carries and the extremes."""
+    vals = [5e-324, 1.7976931348623157e308, 0.0]
+    for k in range(-1074, 1024):
+        two = 2.0**k
+        vals += [two, np.nextafter(two, 0.0), np.nextafter(two, np.inf)]
+    for k in range(-323, 309):
+        ten = float(f"1e{k}")
+        vals += [ten, np.nextafter(ten, 0.0), np.nextafter(ten, np.inf),
+                 float(f"9.99999999999999995e{k}")]
+    vals = np.array(vals)
+    return np.concatenate([vals, -vals])
+
+
+class TestSaveField:
+    """``save_field`` writes the bytes of Python's '%.16e' for every cell."""
+
+    @staticmethod
+    def _check(tmp_path, field):
+        p = tmp_path / "f.csv"
+        save_field(field, p)
+        assert p.read_bytes() == _old_writer_bytes(field)
+
+    @settings(derandomize=True, database=None, max_examples=200,
+              deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=40))
+    def test_any_finite_double(self, tmp_path_factory, vals):
+        # +-0 and subnormals included; the values are the coordinates too
+        self._check(tmp_path_factory.mktemp("f"),
+                    FieldOnGrid([vals], np.array(vals), "density"))
+
+    def test_random_bit_patterns(self, tmp_path):
+        # 10^6 doubles of uniform random bits, nan and inf among them, in
+        # fields of 10^5 lines
+        rng = np.random.default_rng(7)
+        nodes = [np.arange(250.0), np.arange(400.0)]
+        for _ in range(10):
+            bits = rng.integers(0, 2**64, (250, 400), dtype=np.uint64,
+                                endpoint=False)
+            self._check(tmp_path, FieldOnGrid(nodes, bits.view(np.float64),
+                                              "density"))
+
+    def test_directed_doubles(self, tmp_path):
+        vals = _directed_doubles()
+        self._check(tmp_path, FieldOnGrid([vals], vals, "density"))
+
+    def test_list_axes_float32_and_non_finite(self, tmp_path):
+        rng = np.random.default_rng(8)
+        self._check(tmp_path, FieldOnGrid(
+            [[0, 0.5, 2], [1, 3.25]], rng.normal(size=(3, 2)), "density"))
+        self._check(tmp_path, FieldOnGrid(
+            [np.linspace(0.0, 1.0, 5)],
+            rng.gamma(3.0, size=5).astype(np.float32), "density"))
+        self._check(tmp_path, FieldOnGrid(
+            [np.arange(2.0), np.arange(3.0)],
+            np.array([[np.nan, np.inf, -np.inf], [1.0, -np.nan, 0.0]]),
+            "derivative"))
+
+    @pytest.mark.parametrize("lines", [1, 7, 40, 1 << 12, 1 << 20])
+    def test_bytes_do_not_depend_on_block_size(self, tmp_path, monkeypatch,
+                                               lines):
+        # 2 x 30 x 50 = 3,000 lines: whole rows of 50 lines, or parts of
+        # a row where a block is shorter than one
+        rng = np.random.default_rng(9)
+        axes = [np.array([0.0, 1e-300]), np.linspace(0.1, 5.0, 30),
+                np.geomspace(1e-120, 1e120, 50)]
+        values = rng.normal(size=(2, 30, 50)) * 10.0 ** rng.integers(
+            -300, 300, (2, 30, 50))
+        monkeypatch.setattr(estimator, "_WRITE_LINES", lines)
+        self._check(tmp_path, FieldOnGrid(axes, values, "derivative"))
+
+    def test_shape_must_match_axes(self, tmp_path):
+        # (4, 3) values on axes of 3 and 4 nodes would reshape silently
+        field = FieldOnGrid([np.arange(3.0), np.arange(4.0)],
+                            np.zeros((4, 3)), "density")
+        p = tmp_path / "f.csv"
+        with pytest.raises(ValueError, match=r"\(4, 3\).*\(3, 4\)"):
+            save_field(field, p)
+        assert not p.exists()
 
 
 class TestAsSample:
