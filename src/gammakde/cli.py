@@ -101,10 +101,11 @@ def run_estimate(args):
     data = _lag_sample(args.input, args.tau)
     d = data.shape[1]
     which = args.which
-    b, provenance = _resolve_bandwidth(args, data, which)
+    # a bad grid is refused before a bandwidth rule runs
     axes = _parse_grid(args.grid) if args.grid else _default_grid(data)
     if len(axes) != d:
         raise ValueError(f"grid has {len(axes)} axes, data has dimension {d}")
+    b, provenance = _resolve_bandwidth(args, data, which)
     fld = estimator.field_on_grid(data, axes, np.full(d, b), kind=which,
                                   axis=args.axis)
     estimator.save_field(fld, args.output)

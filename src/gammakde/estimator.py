@@ -439,8 +439,9 @@ def load_sample(path):
     """
     with open(path) as fh:
         data = _load_fast(path, fh)
+        # one pass over the values; the line parser names a bad one
         if data is not None and np.all((data >= 0.0) & np.isfinite(data)):
-            return as_sample(data)
+            return data
         fh.seek(0)
         return _load_lines(path, fh)
 
@@ -498,18 +499,14 @@ def _load_lines(path, fh):
             raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} "
                              f"columns, got {len(vals)}")
         for col, v in enumerate(vals):
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"{path}:{lineno}: non-finite value in column {col}"
-                )
-            if v < 0.0:
-                raise ValueError(
-                    f"{path}:{lineno}: negative value in column {col}"
-                )
+            if not (math.isfinite(v) and v >= 0.0):
+                what = "negative" if math.isfinite(v) else "non-finite"
+                raise ValueError(f"{path}:{lineno}: {what} value in "
+                                 f"column {col}")
         rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return as_sample(np.array(rows))
+    return np.array(rows)
 
 
 def save_field(field, path):

@@ -10,7 +10,9 @@ so it integrates to one over [0, inf) and puts no weight on the negative
 axis. The two branches agree at x = 2b where both give shape 2.
 
 Fields and every public function below build the same node and
-observation terms once per call and write through ``kernel_into``.
+observation terms once per call and write through ``kernel_into``. Each
+public function checks t, x and b once, t first; a field's nodes and
+bandwidths are checked by ``estimator.field_on_grid``.
 """
 
 from collections import namedtuple
@@ -21,14 +23,20 @@ from scipy.special import digamma, gammaln
 __all__ = ["rho", "kernel_eval", "log_kernel_eval", "l_term", "kernel_grad_x"]
 
 
-def _shape(x, b):
-    """Validate (x, b) and return ``(x, b, rho, interior)`` as arrays."""
+def _checked(x, b):
+    """x and b as float arrays, refused unless finite, x >= 0 and b > 0."""
     x = np.asarray(x, dtype=float)
     b = np.asarray(b, dtype=float)
     if np.any(~np.isfinite(x)) or np.any(x < 0.0):
         raise ValueError("evaluation coordinate x must be finite and >= 0")
     if np.any(~np.isfinite(b)) or np.any(b <= 0.0):
         raise ValueError("bandwidth b must be finite and > 0")
+    return x, b
+
+
+def _shape(x, b):
+    """``(rho, interior)`` at the checked x and b; refuses a shape that
+    is not finite (x/b overflows)."""
     # both branches are computed everywhere: the unused one may overflow
     with np.errstate(over="ignore"):
         two_b = 2.0 * b
@@ -37,7 +45,7 @@ def _shape(x, b):
     if not np.all(np.isfinite(r)):
         raise ValueError("x/b overflows: the kernel shape is not finite "
                          "at every evaluation point")
-    return x, b, r, interior
+    return r, interior
 
 
 def rho(x, b):
@@ -46,7 +54,7 @@ def rho(x, b):
     Returns ``(rho, interior)`` where ``interior`` is True on the
     x >= 2b branch. Works elementwise on arrays.
     """
-    _, _, r, interior = _shape(x, b)
+    r, interior = _shape(*_checked(x, b))
     if r.ndim == 0:
         return float(r), bool(interior)
     return r, interior
@@ -79,9 +87,11 @@ class ObsTerms(namedtuple("ObsTerms", "logt tb t_zero lt")):
 
 
 def node_terms(x, b, grad=False):
-    """The ``NodeTerms`` at the nodes ``x``, validated as for ``rho``;
-    the derivative's three with ``grad``."""
-    x, b, r, interior = _shape(x, b)
+    """The ``NodeTerms`` at the nodes ``x``, the derivative's three with
+    ``grad``. x and b are float arrays already checked by the caller
+    (``_checked``, or ``field_on_grid``); only a shape x/b that
+    overflows is refused here."""
+    r, interior = _shape(x, b)
     logb = np.log(b)
     psi = slope = x_zero = None
     if grad:
@@ -143,13 +153,14 @@ def kernel_into(nodes, obs, out, work=None):
 
 
 def _terms(t, x, b, grad=False):
-    """Validate t and return the ``NodeTerms`` of x, the ``ObsTerms`` of
-    t and an empty array of their broadcast shape."""
+    """Check t, then x and b, once, and return the ``NodeTerms`` of x,
+    the ``ObsTerms`` of t and an empty array of their broadcast shape."""
     t = np.asarray(t, dtype=float)
     if np.any(~np.isfinite(t)) or np.any(t < 0.0):
         raise ValueError("kernel argument t must be finite and >= 0")
+    x, b = _checked(x, b)
     nodes = node_terms(x, b, grad)
-    obs = obs_terms(t, np.asarray(b, dtype=float), grad)
+    obs = obs_terms(t, b, grad)
     shape = np.broadcast_shapes(t.shape, nodes.r1.shape, obs.tb.shape)
     return nodes, obs, np.empty(shape)
 

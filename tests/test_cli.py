@@ -153,11 +153,14 @@ class TestEstimate:
             main(["estimate", "--input", str(MINI),
                   "--output", str(tmp_path / "x.csv")])
 
-    def test_grid_dimension_mismatch_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_grid_dimension_mismatch_exits(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["estimate", "--input", str(MINI),
                   "--output", str(tmp_path / "x.csv"), "--b", "0.3",
                   "--grid", "0:1:5;0:1:5"])
+        assert exc.value.code == 2
+        assert "grid has 2 axes, data has dimension 1" in \
+            capsys.readouterr().err
 
 
 EST = "estimate --input {mini} --output {out}"
@@ -167,6 +170,12 @@ BAD_INPUT = {
     "grid-decreasing": f"{EST} --b 0.3 --grid 1:0:5",
     "plugin-too-few-rows": "estimate --input {short} --output {out} "
                            "--rule plugin",
+    # the grid is checked before the rule runs, which would refuse the
+    # 3-row sample
+    "plugin-grid-missing-count": "estimate --input {short} --output {out} "
+                                 "--rule plugin --grid 0:1",
+    "plugin-grid-axes": "estimate --input {short} --output {out} --tau 1 "
+                        "--rule plugin --stages 2 --grid 0:10:120",
     "tau-too-long": "estimate --input {short} --output {out} --b 0.3 "
                     "--tau 5",
     "axis-out-of-range": f"{EST} --b 0.3 --which derivative --axis 3",
@@ -324,6 +333,8 @@ BAD_INPUT_MESSAGE = {
                             "'gamma:3.0,1.0,7': could not convert string to "
                             "float: '1.0,7'",
     "field-too-large": "Unable to allocate",
+    "plugin-grid-missing-count": "bad --grid axis '0:1': expected lo:hi:num",
+    "plugin-grid-axes": "grid has 1 axes, data has dimension 2",
     "simulate-b-nan": "argument --b: must be finite and > 0, got nan",
     "estimate-b-inf": "argument --b: must be finite and > 0, got inf",
     "shape-overflow": "x/b overflows",

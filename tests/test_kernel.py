@@ -117,6 +117,44 @@ class TestKernelEval:
         with pytest.raises(ValueError, match=msg):
             fn(np.array([0.0, 0.5, t]), 1.0, 0.1)
 
+    # every public kernel function checks x and b where it is called; rho
+    # takes no t
+    PUBLIC = [rho, log_kernel_eval, kernel_eval, l_term, kernel_grad_x]
+
+    @staticmethod
+    def _call(fn, x, b):
+        return fn(x, b) if fn is rho else fn(0.5, x, b)
+
+    @pytest.mark.parametrize("fn", PUBLIC)
+    @pytest.mark.parametrize("x", [-1.0, np.nan, np.inf])
+    def test_refuses_bad_x(self, fn, x):
+        msg = "evaluation coordinate x must be finite and >= 0"
+        with pytest.raises(ValueError, match=msg):
+            self._call(fn, x, 0.1)
+        with pytest.raises(ValueError, match=msg):
+            self._call(fn, np.array([0.0, 0.5, x]), 0.1)
+
+    @pytest.mark.parametrize("fn", PUBLIC)
+    @pytest.mark.parametrize("b", [0.0, -1.0, np.nan, np.inf])
+    def test_refuses_bad_b(self, fn, b):
+        msg = "bandwidth b must be finite and > 0"
+        with pytest.raises(ValueError, match=msg):
+            self._call(fn, 1.0, b)
+        with pytest.raises(ValueError, match=msg):
+            self._call(fn, 1.0, np.array([0.1, 0.5, b]))
+
+    @pytest.mark.parametrize("fn", PUBLIC[1:])
+    def test_checks_t_then_x_then_b(self, fn):
+        with pytest.raises(ValueError, match="kernel argument t"):
+            fn(-1.0, -1.0, 0.0)
+        with pytest.raises(ValueError, match="evaluation coordinate x"):
+            fn(0.5, -1.0, 0.0)
+
+    @pytest.mark.parametrize("fn", PUBLIC)
+    def test_refuses_shape_overflow(self, fn):
+        with pytest.raises(ValueError, match="x/b overflows"):
+            self._call(fn, np.array([1.0, 1e308]), 1e-10)
+
     def test_interior_mean_is_x(self):
         # interior shape x/b gives mean exactly x
         mean = quad(lambda t: t * kernel_eval(t, 1.0, 0.05), 0, 10,

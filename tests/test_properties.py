@@ -139,6 +139,12 @@ def test_bandwidth_is_finite_or_usage_error(which, tau, n, shape, scale,
 # every ISE is non-finite, so no replicate is left at any n
 @example(which="density", tau=0, sizes=[5, 10, 20], b=1e-300, phi=0.0,
          shape=0.05, scale=1e-300)
+# huge shapes: the marginal's Halley step divides by an exp that
+# underflows to 0, and the series is not finite
+@example(which="density", tau=0, sizes=[5, 10, 20], b=0.15, phi=0.0,
+         shape=6.17e282, scale=6.99e16)
+@example(which="density", tau=0, sizes=[5, 10, 20], b=0.15, phi=0.0,
+         shape=7.0e299, scale=8.4e-48)
 def test_simulate_is_finite_or_usage_error(which, tau, sizes, b, phi, shape,
                                            scale):
     argv = ["simulate", "--output={out}", "--seed=1", f"--which={which}",
@@ -150,7 +156,8 @@ def test_simulate_is_finite_or_usage_error(which, tau, sizes, b, phi, shape,
     _run(argv)
 
 
-# numbers both parsers read, then tokens one parser or as_sample refuses
+# numbers both parsers read, then tokens one parser or the value checks
+# refuse
 GOOD = ["0", "0.0", "1", "1.5", "2.5E+2", "1e-3", "7", "3.25", " 4", "5 "]
 values = st.sampled_from(GOOD * 8 + ["-1", "1_000", "nan", "x"])
 delimiters = st.sampled_from([",", ", ", " ", "  ", "\t"])
