@@ -56,6 +56,7 @@ and the bandwidth rules stay on the calling thread
 (``BENCH_axes-once.json``).
 """
 
+import codecs
 import contextlib
 import ctypes
 import functools
@@ -433,9 +434,9 @@ def load_sample(path):
     """Read a sample from delimited text: one observation per line.
 
     Accepts comma- or whitespace-separated columns, blank lines, lines
-    starting with '#', and an optional single header line. A value that
-    does not parse, is negative or is not finite is reported with its
-    line number.
+    starting with '#', an optional single header line and a UTF-8
+    byte-order mark. A value that does not parse, is negative or is not
+    finite is reported with its line number.
     """
     with open(path) as fh:
         data = _load_fast(path, fh)
@@ -453,7 +454,8 @@ def _data_rows(path, fh):
     the header; any other unparseable line is an error.
     """
     for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
+        # a UTF-8 byte-order mark is not part of line 1
+        line = (line.removeprefix("\ufeff") if lineno == 1 else line).strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(",") if "," in line else line.split()
@@ -483,11 +485,13 @@ def _load_fast(path, fh):
         # the lines before the first data line are blank, comment or
         # header; with comments=None a later '#' is a parse error.
         # loadtxt reads a path faster than a text handle, in the
-        # handle's encoding
+        # handle's encoding; utf-8-sig drops a byte-order mark as
+        # _data_rows does
+        utf8 = codecs.lookup(fh.encoding).name == "utf-8"
         return np.loadtxt(path, dtype=float, comments=None,
                           delimiter="," if "," in line else None,
                           skiprows=lineno - 1, ndmin=2,
-                          encoding=fh.encoding)
+                          encoding="utf-8-sig" if utf8 else fh.encoding)
     except ValueError:
         return None
 
@@ -512,14 +516,18 @@ def _load_lines(path, fh):
 def save_field(field, path):
     """Write a FieldOnGrid as delimited text: coordinates then value per line.
 
-    Nodes run in C order (last axis fastest). Every cell holds the bytes
-    of Python's ``'%.16e'`` and ends in ',' or, after the value, in a
-    newline. The cells are spelled in numpy (``_spell.spell``): those of
-    the coordinates once per axis node, the values in blocks of at most
-    2^12 lines (``_WRITE_LINES``), whole rows of the last axis or, where
-    one row is longer, part of a row. A block is one uint8 array, a byte
-    column per character, with NUL pads in the cells that are short; the
-    pads are dropped as the block is written, so memory stays at a block.
+    Nodes run in C order (last axis fastest). A line is a record: one
+    cell per axis, then the value's cell. Every cell holds the bytes of
+    Python's ``'%.16e'`` and ends in ',' or, after the value, in a
+    newline. The cells are spelled in numpy (``_spell.spell``), those of
+    the coordinates once per axis node. A block is a range of at most
+    2^12 lines (``_WRITE_LINES``) in C order: its axis cells are
+    gathered by node, its values spelled, and its uint8 array, a byte
+    column per character with NUL pads in the cells that are short, is
+    written with the pads dropped. Memory is about 60 bytes per axis
+    node (the joined axes and their cells, with and without pad columns)
+    plus one block, and a float64 copy of values in another dtype or
+    order.
 
     The fast path scales |v| by 10^(16 - E) in double-double arithmetic
     (``_spell.decimal17``) to within about 1e-14 of the 17-digit integer
@@ -536,33 +544,22 @@ def save_field(field, path):
     if values.shape != shape:
         raise ValueError(f"field values have shape {values.shape}, "
                          f"but its axes make a grid of shape {shape}")
-    # a block is `step` rows of the last axis, or `cut` nodes of one row
-    m = shape[-1]
-    step = _WRITE_LINES // max(m, 1) or 1
-    cut = min(m, _WRITE_LINES) or 1
-    values = values.astype(float, copy=False).reshape(-1, m)
-    # the cells of every axis node are spelled with the first block;
+    values = values.astype(float, copy=False).ravel()
+    # the cells of the axis nodes, spelled a block at a time, end in ',';
     # columns that are a pad in every cell of an axis are dropped
-    nodes = sum(shape)
-    first = spell(np.concatenate(axes + [values[:step, :cut].ravel()]))
-    first[:nodes, -1] = ord(",")
-    *lead, last = [c[:, (c != 0).any(axis=0)]
-                   for c in np.split(first[:nodes], np.cumsum(shape)[:-1])]
-    width = sum(c.shape[1] for c in lead) + last.shape[1] + 25
+    nodes = np.concatenate(axes)
+    cell = np.empty((nodes.size, 25), np.uint8)
+    for i in range(0, nodes.size, _WRITE_LINES):
+        cell[i: i + _WRITE_LINES] = spell(nodes[i: i + _WRITE_LINES])
+    cell[:, -1] = ord(",")
+    cells = [c.compress(c.any(axis=0), axis=1)
+             for c in np.split(cell, np.cumsum(shape)[:-1])]
     with open(path, "w") as fh:
-        for r in range(0, values.shape[0], step):
-            rows = np.arange(r, min(r + step, values.shape[0]))
-            heads = [c[i] for c, i in zip(
-                lead, np.unravel_index(rows, shape[:-1]) if lead else ())]
-            for col in range(0, m, cut):
-                block = values[r: r + step, col: col + cut]
-                text = np.empty((block.size, width), np.uint8)
-                grid = text.reshape(block.shape + (width,))
-                at = 0
-                for head in heads:
-                    grid[:, :, at: at + head.shape[1]] = head[:, None]
-                    at += head.shape[1]
-                grid[:, :, at: -25] = last[col: col + cut]
-                text[:, -25:] = (first[nodes:] if r == col == 0
-                                 else spell(block.ravel()))
-                fh.write(text.tobytes().replace(b"\0", b"").decode("ascii"))
+        for start in range(0, values.size, _WRITE_LINES):
+            block = values[start: start + _WRITE_LINES]
+            index = np.unravel_index(np.arange(start, start + block.size),
+                                     shape)
+            text = np.concatenate([c.take(i, axis=0)
+                                   for c, i in zip(cells, index)]
+                                  + [spell(block)], axis=1)
+            fh.write(text.tobytes().replace(b"\0", b"").decode("ascii"))

@@ -6,6 +6,7 @@ kernel matrices. Agreement is required to near machine precision.
 """
 
 import itertools
+import os
 import sys
 import tracemalloc
 import warnings
@@ -882,6 +883,18 @@ class TestIO:
         assert fast.tobytes() == slow.tobytes()
         np.testing.assert_array_equal(load_sample(p), slow)
 
+    @pytest.mark.parametrize("text", [b"1.5\n2.5\n3.5\n",
+                                      b"x\n1.5\n2.5\n3.5\n"],
+                             ids=["numeric-line-1", "header-line-1"])
+    def test_byte_order_mark_is_not_part_of_line_1(self, tmp_path, text):
+        # a UTF-8 byte-order mark once made a numeric line 1 fail to
+        # parse, and it was dropped as a header
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text)
+        fast, slow = _both_loaders(p)
+        for got in (fast, slow, load_sample(p)):
+            np.testing.assert_array_equal(got, [[1.5], [2.5], [3.5]])
+
     def test_non_ascii_header_skipped_by_loadtxt(self, tmp_path):
         # written in the encoding that open() reads with, as a user's
         # editor would; loadtxt reads the path in that encoding too
@@ -1039,8 +1052,9 @@ class TestSaveField:
     @pytest.mark.parametrize("lines", [1, 7, 40, 1 << 12, 1 << 20])
     def test_bytes_do_not_depend_on_block_size(self, tmp_path, monkeypatch,
                                                lines):
-        # 2 x 30 x 50 = 3,000 lines: whole rows of 50 lines, or parts of
-        # a row where a block is shorter than one
+        # 2 x 30 x 50 = 3,000 lines and one axis of 3,000 nodes: a block
+        # of lines starts and ends anywhere in a row of the last axis,
+        # and the axis cells are spelled in blocks too
         rng = np.random.default_rng(9)
         axes = [np.array([0.0, 1e-300]), np.linspace(0.1, 5.0, 30),
                 np.geomspace(1e-120, 1e120, 50)]
@@ -1048,6 +1062,28 @@ class TestSaveField:
             -300, 300, (2, 30, 50))
         monkeypatch.setattr(estimator, "_WRITE_LINES", lines)
         self._check(tmp_path, FieldOnGrid(axes, values, "derivative"))
+        nodes = np.geomspace(1e-300, 1e300, 3000)
+        self._check(tmp_path, FieldOnGrid([nodes], values.ravel(),
+                                          "derivative"))
+
+    @pytest.mark.parametrize("shape,bound", [
+        ((1 << 20,), 100 << 20),
+        ((2048, 512), 1.5e6),
+    ], ids=["1d-2^20-nodes", "2d-2048x512"])
+    def test_memory(self, shape, bound):
+        # per node: the joined axes (8 bytes), their spelled cells (25)
+        # and the cells without pad columns (up to 25); the rest is one
+        # block of lines
+        axes = [np.linspace(0.1, 10.0, m) for m in shape]
+        field = FieldOnGrid(axes, np.random.default_rng(10).gamma(
+            3.0, size=shape), "density")
+        tracemalloc.start()
+        try:
+            save_field(field, os.devnull)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_shape_must_match_axes(self, tmp_path):
         # (4, 3) values on axes of 3 and 4 nodes would reshape silently
