@@ -10,7 +10,10 @@ so it integrates to one over [0, inf) and puts no weight on the negative
 axis. The two branches agree at x = 2b where both give shape 2.
 
 Fields and every public function below build the same node and
-observation terms once per call and write through ``kernel_into``. Each
+observation terms once per call and write through ``kernel_into``, by
+the tile routine ``node_terms`` chose: the kernel in five ufunc passes,
+its x-derivative in six, with ln(d(rho)/dx) folded into the node
+constant of the log kernel. Each
 public function checks t, x and b once, t first; a field's nodes and
 bandwidths are checked by ``estimator.field_on_grid``.
 """
@@ -63,50 +66,54 @@ def rho(x, b):
 # Terms that depend on the node x alone and on the point t alone, shared
 # by fields and every public function: m nodes and k points take O(m + k)
 # logs, lgammas and digammas; the m * k products go through kernel_into.
-class NodeTerms(namedtuple("NodeTerms",
-                           "r1 rlogb lgam at_zero psi slope x_zero")):
-    """Per-node terms: rho - 1, rho ln b, lgamma(rho) and the log kernel
-    at t = 0 (-ln b at shape 1, -inf above it); on the derivative axis
-    also psi(rho), d(rho)/dx and the x = 0 mask. The last three are None
-    off the derivative axis, and the mask is None where no x is 0."""
+class NodeTerms(namedtuple("NodeTerms", "tile r1 c lgam at_zero psi")):
+    """Per-node terms and ``tile``, the routine ``kernel_into`` writes a
+    tile with. ``r1`` is rho - 1 and ``c`` the node constant of the
+    exponent (rho - 1) ln t - t/b - c. For the kernel, c = rho ln b;
+    lgamma(rho) (``lgam``) takes its own pass and ``at_zero`` is the log
+    kernel at t = 0 (-ln b at shape 1, -inf above it). On the derivative
+    axis c = rho ln b + lgamma(rho) - ln(d(rho)/dx), +inf at x = 0, and
+    ``psi`` is psi(rho); ``lgam`` and ``at_zero`` are None there, and
+    ``psi`` is None off it."""
 
     __slots__ = ()
 
     def rows(self, lo, hi):
         """The terms of nodes ``lo`` to ``hi`` - 1."""
-        return self._make(None if a is None else a[lo:hi] for a in self)
+        return self._make(a[lo:hi] if np.ndim(a) else a for a in self)
 
 
 class ObsTerms(namedtuple("ObsTerms", "logt tb t_zero lt")):
     """Per-observation terms: ln t, t/b and the t = 0 mask (None where no
     t is 0); on the derivative axis also ln t - ln b (None off it). At
     t = 0 both logs are -inf: the mask writes the log kernel's limit
-    there, and c = 0 in ``kernel_into``; ``l_term`` refuses t = 0."""
+    there, and 0 into a derivative tile after its last multiply;
+    ``l_term`` refuses t = 0."""
 
     __slots__ = ()
 
 
 def node_terms(x, b, grad=False):
-    """The ``NodeTerms`` at the nodes ``x``, the derivative's three with
-    ``grad``. x and b are float arrays already checked by the caller
-    (``_checked``, or ``field_on_grid``); only a shape x/b that
-    overflows is refused here."""
+    """The ``NodeTerms`` at the nodes ``x``, with the derivative tile and
+    its folded constant if ``grad``. x and b are float arrays already
+    checked by the caller (``_checked``, or ``field_on_grid``); only a
+    shape x/b that overflows is refused here."""
     r, interior = _shape(x, b)
     logb = np.log(b)
-    psi = slope = x_zero = None
-    if grad:
-        psi = digamma(r)
-        slope = np.where(interior, 1.0 / b, x / (2.0 * b**2))
-        x_zero = _mask(x == 0.0)
-    return NodeTerms(r - 1.0, r * logb, gammaln(r),
-                     np.where(r == 1.0, -logb, -np.inf), psi, slope, x_zero)
+    if not grad:
+        return NodeTerms(_density_tile, r - 1.0, r * logb, gammaln(r),
+                         np.where(r == 1.0, -logb, -np.inf), None)
+    # d(rho)/dx is 0 at x = 0: c = +inf there, and exp(-inf) the limit 0
+    with np.errstate(divide="ignore"):
+        c = r * logb + gammaln(r) - np.log(
+            np.where(interior, 1.0 / b, x / (2.0 * b**2)))
+    return NodeTerms(_derivative_tile, r - 1.0, c, None, None, digamma(r))
 
 
 def obs_terms(t, b, grad=False):
     """The ``ObsTerms`` of the data points ``t`` (not validated); ln t
-    - ln b with ``grad``. Both logs are -inf at t = 0, where
-    ``_log_kernel`` and ``kernel_into`` write the limits through the
-    t = 0 mask."""
+    - ln b with ``grad``. Both logs are -inf at t = 0, where the tile
+    routines write the limits through the t = 0 mask."""
     logt = np.log(t)
     lt = logt - np.log(b) if grad else None
     return ObsTerms(logt, t / b, _mask(t == 0.0), lt)
@@ -117,14 +124,18 @@ def _mask(m):
     return m if np.any(m) else None
 
 
+def _exponent(nodes, obs, out):
+    """Write (rho - 1) ln t - t/b - c into ``out``."""
+    np.multiply(nodes.r1, obs.logt, out=out)
+    np.subtract(out, obs.tb, out=out)
+    return np.subtract(out, nodes.c, out=out)
+
+
 def _log_kernel(nodes, obs, out):
     """Write the log kernel into ``out``: (rho - 1) ln t - t/b - rho ln b
     - lgamma(rho), then its limit at t = 0, where (rho - 1) ln 0 is -inf
     for rho > 1 but nan for rho = 1."""
-    np.multiply(nodes.r1, obs.logt, out=out)
-    np.subtract(out, obs.tb, out=out)
-    np.subtract(out, nodes.rlogb, out=out)
-    np.subtract(out, nodes.lgam, out=out)
+    np.subtract(_exponent(nodes, obs, out), nodes.lgam, out=out)
     if obs.t_zero is not None:
         np.copyto(out, nodes.at_zero, where=obs.t_zero)
     return out
@@ -135,21 +146,28 @@ def _l(nodes, obs, out):
     return np.subtract(obs.lt, nodes.psi, out=out)
 
 
-def kernel_into(nodes, obs, out, work=None):
-    """Write the kernel matrix of ``nodes`` by ``obs`` into ``out``. On
-    the derivative axis (``nodes.psi`` set) it is K c, with
-    c = L d(rho)/dx, and c = 0 where t or x is 0 (the exact limit of
-    c K); c takes ``out.size`` floats of the flat ``work``."""
-    np.exp(_log_kernel(nodes, obs, out), out=out)
-    if nodes.psi is not None:
-        c = _l(nodes, obs, work[: out.size].reshape(out.shape))
-        c *= nodes.slope
-        if obs.t_zero is not None:
-            np.copyto(c, 0.0, where=obs.t_zero)
-        if nodes.x_zero is not None:
-            np.copyto(c, 0.0, where=nodes.x_zero)
-        out *= c
+def _density_tile(nodes, obs, out, work):
+    """K = exp(log kernel): five passes, and the t = 0 limit."""
+    return np.exp(_log_kernel(nodes, obs, out), out=out)
+
+
+def _derivative_tile(nodes, obs, out, work):
+    """K L d(rho)/dx in six passes: exp of the exponent is K d(rho)/dx,
+    and L, in ``out.size`` floats of the flat ``work``, multiplies it.
+    Where t = 0, L is -inf, and (1 - 1) ln 0 is nan at x = 0, so the
+    tile is set to the exact limit 0 there after the multiply."""
+    np.exp(_exponent(nodes, obs, out), out=out)
+    out *= _l(nodes, obs, work[: out.size].reshape(out.shape))
+    if obs.t_zero is not None:
+        np.copyto(out, 0.0, where=obs.t_zero)
     return out
+
+
+def kernel_into(nodes, obs, out, work=None):
+    """Write the kernel matrix of ``nodes`` by ``obs`` into ``out`` by the
+    tile routine ``node_terms`` chose: K, or on the derivative axis
+    K L d(rho)/dx (0 where t or x is 0, the exact limits)."""
+    return nodes.tile(nodes, obs, out, work)
 
 
 def _terms(t, x, b, grad=False):
@@ -205,7 +223,9 @@ def l_term(t, x, b):
 def kernel_grad_x(t, x, b):
     """Partial derivative of the kernel in the evaluation coordinate x:
     K L d(rho)/dx, written as the fields' derivative tiles are by
-    ``kernel_into``, so 0 at t = 0 and at x = 0, the exact limits."""
+    ``kernel_into``: exp((rho - 1) ln t - t/b - rho ln b - lgamma(rho)
+    + ln(d(rho)/dx)) times L, and 0 at t = 0 and at x = 0, the exact
+    limits."""
     with np.errstate(divide="ignore", invalid="ignore"):
         nodes, obs, out = _terms(t, x, b, grad=True)
         return _scalar(kernel_into(nodes, obs, out, np.empty(out.size)))

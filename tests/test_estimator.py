@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from gammakde import estimator
 from gammakde.estimator import (
@@ -29,12 +30,7 @@ from gammakde.estimator import (
     log_density_derivative_at,
     save_field,
 )
-from gammakde.kernel import (
-    kernel_eval,
-    l_term,
-    log_kernel_eval,
-    node_terms,
-)
+from gammakde.kernel import kernel_eval, l_term, log_kernel_eval, rho
 
 
 def _naive_density(data, x, b):
@@ -53,8 +49,9 @@ def _naive_partial_terms(data, x, b, axis):
         prod = 1.0
         for j in range(data.shape[1]):
             prod *= kernel_eval(row[j], x[j], b[j])
-        slope = node_terms(x[axis], b[axis], grad=True).slope
-        terms.append(slope * l_term(row[axis], x[axis], b[axis]) * prod)
+        xa, ba = x[axis], b[axis]
+        slope = 1.0 / ba if xa >= 2.0 * ba else xa / (2.0 * ba**2)
+        terms.append(slope * l_term(row[axis], xa, ba) * prod)
     return np.array(terms)
 
 
@@ -288,16 +285,24 @@ class TestFieldOnGrid:
 
 
 def _one_pass_mats(data, axes, b, axis):
-    """Per-axis (node x sample) matrices over the whole sample at once."""
+    """Per-axis (node x sample) matrices over the whole sample at once. On
+    the derivative axis, the tile written out term by term: exp of
+    (rho - 1) ln t - t/b - c with c = rho ln b + lgamma(rho)
+    - ln(d(rho)/dx), +inf at x = 0, times L, and 0 where t is 0."""
     mats = []
     for j, nodes in enumerate(axes):
-        col = data[:, j]
-        mat = np.exp(log_kernel_eval(col[None, :], nodes[:, None], b[j]))
-        if j == axis:
-            pos = col > 0.0
-            c = node_terms(nodes, b[j], grad=True).slope[:, None] * l_term(
-                np.where(pos, col, 1.0)[None, :], nodes[:, None], b[j])
-            mat *= np.where((nodes > 0.0)[:, None] & pos, c, 0.0)
+        col, x, bj = data[:, j], nodes[:, None], b[j]
+        if j != axis:
+            mats.append(np.exp(log_kernel_eval(col[None, :], x, bj)))
+            continue
+        r, interior = rho(x, bj)
+        slope = np.where(interior, 1.0 / bj, x / (2.0 * bj**2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = r * np.log(bj) + gammaln(r) - np.log(slope)
+            mat = np.exp((r - 1.0) * np.log(col) - col / bj - c)
+        pos = col > 0.0
+        mat *= l_term(np.where(pos, col, 1.0)[None, :], x, bj)
+        mat[:, ~pos] = 0.0
         mats.append(mat)
     return mats
 

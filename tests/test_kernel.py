@@ -206,9 +206,14 @@ class TestKernelGradX:
                                                              rel=1e-10)
 
     def test_prefactor_branches(self):
-        # d(rho)/dx: 1/b interior, x/(2 b^2) on the boundary branch
-        slope = node_terms(np.array([1.0, 0.1]), 0.1, grad=True).slope
-        assert slope == pytest.approx([10.0, 0.1 / 0.02])
+        # the derivative over K L is d(rho)/dx: 1/b on the interior
+        # branch, x/(2 b^2) on the boundary branch
+        b = 0.1
+        t = np.array([0.02, 0.3, 1.7])
+        for x, slope in ((1.0, 1.0 / b), (0.1, 0.1 / (2.0 * b**2))):
+            got = kernel_grad_x(t, x, b) / (kernel_eval(t, x, b)
+                                            * l_term(t, x, b))
+            np.testing.assert_allclose(got, slope, rtol=1e-13, atol=0.0)
 
     def test_matches_finite_difference(self):
         rng = np.random.Generator(np.random.Philox(key=11))
@@ -253,32 +258,86 @@ class TestKernelGradX:
         assert total == pytest.approx(0.0, abs=1e-8)
 
 
+class TestGradAccuracy:
+    # kernel_grad_x against 50 digits of mpmath at points drawn from the
+    # kernel itself, on both branches and b from 0.003 to 2
+    @staticmethod
+    def _points(n=600):
+        rng = np.random.Generator(np.random.Philox(key=2014))
+        b = 10.0 ** rng.uniform(np.log10(0.003), np.log10(2.0), n)
+        interior = np.arange(n) % 2 == 0
+        x = b * np.where(interior, rng.uniform(2.0, 60.0, n),
+                         rng.uniform(0.0, 2.0, n))
+        r = np.where(interior, x / b, (x / (2.0 * b)) ** 2 + 1.0)
+        return rng.gamma(r, b), x, b
+
+    @staticmethod
+    def _exact(mp, t, x, b):
+        t, x, b = mp.mpf(t), mp.mpf(x), mp.mpf(b)
+        if x >= 2 * b:
+            r, slope = x / b, 1 / b
+        else:
+            r, slope = (x / (2 * b)) ** 2 + 1, x / (2 * b**2)
+        logk = ((r - 1) * mp.log(t) - t / b - r * mp.log(b)
+                - mp.loggamma(r))
+        return (mp.exp(logk) * (mp.log(t) - mp.log(b) - mp.digamma(r))
+                * slope)
+
+    def test_relative_error(self):
+        mpmath = pytest.importorskip("mpmath")
+        t, x, b = self._points()
+        assert np.any(x < 2.0 * b) and np.any(x >= 2.0 * b)
+        with mpmath.workdps(50):
+            want = np.array([float(self._exact(mpmath.mp, *p))
+                             for p in zip(t, x, b)])
+        rel = np.abs(kernel_grad_x(t, x, b) - want) / np.abs(want)
+        assert np.median(rel) <= 1e-14
+        assert rel.max() <= 1e-12
+
+    def test_exact_limits(self):
+        # 0 at t = 0 and at x = 0, where d(rho)/dx = 0, at any b and t
+        b = np.array([0.003, 0.1, 2.0])[:, None]
+        t = np.array([0.0, 1e-300, 1e-3, 0.5, 4.0, 30.0])
+        assert np.all(kernel_grad_x(t, 0.0, b) == 0.0)
+        x = np.array([1e-170, 0.05, 1.0, 3.7])[:, None, None]
+        assert np.all(kernel_grad_x(0.0, x, b) == 0.0)
+
+    @pytest.mark.parametrize("b", [0.003, 0.1, 2.0])
+    def test_continuous_at_two_b(self, b):
+        # the boundary branch just below x = 2b meets the interior one
+        t = np.array([0.5, 1.0, 3.0]) * b
+        below = kernel_grad_x(t, np.nextafter(2.0 * b, 0.0), b)
+        np.testing.assert_allclose(below, kernel_grad_x(t, 2.0 * b, b),
+                                   rtol=1e-13, atol=0.0)
+
+
 def _written_out(t, x, b):
-    """(log K, L, d(rho)/dx) by the kernel's ufunc sequence, written out:
-    the shape on both branches, then the log kernel term by term and its
-    t = 0 limits, and L on t' (t, or 1 where t = 0)."""
+    """(log K, L, E, c) by the kernel's ufunc sequences, written out: the
+    shape on both branches, the log kernel term by term and its t = 0
+    limits, L on t' (t, or 1 where t = 0), and the derivative tile's
+    exponent E = (rho - 1) ln t - t/b - c with the folded node constant
+    c = rho ln b + lgamma(rho) - ln(d(rho)/dx), +inf at x = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         two_b = 2.0 * b
         interior = x >= two_b
         r = np.where(interior, x / b, (x / two_b) ** 2 + 1.0)
-        logk = np.multiply(r - 1.0, np.log(t))
-        logk = np.subtract(logk, t / b)
-        logk = np.subtract(logk, r * np.log(b))
-        logk = np.subtract(logk, gammaln(r))
+        head = np.subtract(np.multiply(r - 1.0, np.log(t)), t / b)
+        logk = np.subtract(np.subtract(head, r * np.log(b)), gammaln(r))
+        slope = np.where(interior, 1.0 / b, x / (2.0 * b**2))
+        c = np.subtract(np.add(r * np.log(b), gammaln(r)), np.log(slope))
+        expo = np.subtract(head, c)
     logk = np.where(t == 0.0, np.where(r == 1.0, -np.log(b), -np.inf), logk)
     lt = np.subtract(np.log(np.where(t == 0.0, 1.0, t)) - np.log(b),
                      digamma(r))
-    slope = np.where(interior, 1.0 / b, x / (2.0 * b**2))
-    return logk, lt, slope
+    return logk, lt, expo, c
 
 
-def _grad_tile(t, x, logk, lt, slope):
-    """The estimator's derivative tile: K c with c = L d(rho)/dx, set to
-    0 where t or x is 0."""
-    c = lt * slope
-    c[:, t[0] == 0.0] = 0.0
-    c[x[:, 0] == 0.0] = 0.0
-    return np.exp(logk) * c
+def _grad_tile(t, expo, lt):
+    """The estimator's derivative tile: exp(E) = K d(rho)/dx times L, set
+    to 0 where t is 0; exp(-inf) = 0 where x is 0."""
+    tile = np.exp(expo) * lt
+    tile[:, t[0] == 0.0] = 0.0
+    return tile
 
 
 class TestOneFormula:
@@ -290,15 +349,14 @@ class TestOneFormula:
 
     @pytest.mark.parametrize("b", [0.1, 0.35])
     def test_public_functions_are_the_written_out_sequence(self, b):
-        logk, lt, slope = _written_out(self.T, self.X, b)
+        logk, lt, expo, c = _written_out(self.T, self.X, b)
         pos = self.T[:, 1:]
         assert log_kernel_eval(self.T, self.X, b).tobytes() == logk.tobytes()
         assert kernel_eval(self.T, self.X, b).tobytes() == \
             np.exp(logk).tobytes()
         assert l_term(pos, self.X, b).tobytes() == lt[:, 1:].tobytes()
-        assert node_terms(self.X, b, grad=True).slope.tobytes() == \
-            slope.tobytes()
-        want = _grad_tile(self.T, self.X, logk, lt, slope)
+        assert node_terms(self.X, b, grad=True).c.tobytes() == c.tobytes()
+        want = _grad_tile(self.T, expo, lt)
         assert kernel_grad_x(self.T, self.X, b).tobytes() == want.tobytes()
         # and one point at a time
         for i, j in np.ndindex(logk.shape):
@@ -310,10 +368,10 @@ class TestOneFormula:
 
     @pytest.mark.parametrize("b", [0.1, 0.35])
     def test_kernel_tile_is_the_written_out_sequence(self, b):
-        # the estimator's tiles: K, and on the derivative axis K c with
-        # c = L d(rho)/dx, set to 0 where t or x is 0
-        logk, lt, slope = _written_out(self.T, self.X, b)
-        tile = _grad_tile(self.T, self.X, logk, lt, slope)
+        # the estimator's tiles: K, and on the derivative axis
+        # exp(E) = K d(rho)/dx times L, set to 0 where t or x is 0
+        logk, lt, expo, _ = _written_out(self.T, self.X, b)
+        tile = _grad_tile(self.T, expo, lt)
         for grad, want in ((False, np.exp(logk)), (True, tile)):
             got = np.full(want.shape, np.nan)
             work = np.full(2 * want.size, np.nan)
