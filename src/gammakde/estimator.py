@@ -16,10 +16,11 @@ The sample is summed in chunks of at most
 cols = max(128, min(2^17, 2^20 // sum m_j)) rows, for m_j nodes on axis
 j, split as numpy's pairwise sum splits a row, and divided by n once.
 The terms of the kernel that depend on a node alone
-(``kernel.node_terms``) are computed once per field and axis,
-those that depend on an observation alone (``kernel.obs_terms``) once
-per chunk and axis. In each chunk, ``_matrix`` writes the kernel matrix
-of a range of nodes of one axis, cutting the range into tiles of
+(``kernel.node_terms``) are computed once per grid and axis (``_grid``,
+which reads no sample), those that depend on an observation alone
+(``kernel.obs_terms``) once per chunk and axis. In each chunk,
+``_matrix`` writes the kernel matrix of a range of nodes of one axis,
+cutting the range into tiles of
 max(1, 2^17 // min(cols, n)) nodes (``_TILE_ELEMS``: 1 MB or less,
 since a node's row is) as it goes. Each tile is weighted on the
 derivative axis as it is written, so a tile and its weights stay in L2.
@@ -63,6 +64,7 @@ import functools
 import math
 import os
 import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -175,8 +177,9 @@ def fragment(series, tau):
         raise ValueError(
             f"series of length {series.size} too short for tau={tau}"
         )
-    windows = np.lib.stride_tricks.sliding_window_view(series, tau + 1)
-    return as_sample(np.array(windows))
+    rows = series.size - tau
+    return as_sample(np.column_stack([series[j: j + rows]
+                                      for j in range(tau + 1)]))
 
 
 def _usable_cpus():
@@ -257,10 +260,50 @@ def _thread_map(fn, tasks, p):
         pool.shutdown(cancel_futures=True)
 
 
-def _field(data, axes, b, axis=None):
-    """Estimate on the tensor grid ``axes``; the derivative along ``axis``."""
+_Grid = namedtuple("_Grid", "axes b axis terms")
+
+
+def _grid(d, axes, b, kind, axis):
+    """The grid step of ``field_on_grid``: check the ``d`` axes, the
+    bandwidth, ``kind`` and ``axis``, and build each axis's ``NodeTerms``.
+    It reads no sample, so one ``_Grid`` serves every sample estimated
+    on it (``simulate`` builds one per sample size)."""
+    if len(axes) != d:
+        raise ValueError(f"need {d} coordinate axes, got {len(axes)}")
+    axes = [np.asarray(a, dtype=float).ravel() for a in axes]
+    for j, a in enumerate(axes):
+        if (a.size == 0 or not np.all(np.isfinite(a)) or np.any(a < 0.0)
+                or np.any(np.diff(a) <= 0.0)):
+            raise ValueError(f"axis {j} must be nonempty, finite, "
+                             "nonnegative, strictly increasing")
+    b = _as_bandwidth(b, d)
+    if kind not in ("density", "derivative"):
+        raise ValueError("kind must be 'density' or 'derivative'")
+    if kind == "density":
+        axis = None
+    else:
+        axis = int(d - 1 if axis is None else axis)
+        if not 0 <= axis < d:
+            raise ValueError(f"axis {axis} out of range for d={d}")
+    # Past the float range a log kernel runs to -inf, a kernel of 0, and
+    # the terms to inf or nan, which only a non-finite total shows. A
+    # shape x/b that overflows is refused here, before any pool starts
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        terms = [node_terms(a[:, None], bj, j == axis)
+                 for j, (a, bj) in enumerate(zip(axes, b))]
+    return _Grid(axes, b, axis, terms)
+
+
+def _field(data, grid):
+    """The sample step of ``field_on_grid``: the values of the estimate
+    on ``grid`` (``_grid``) of ``data``, an (n, d) sample already checked
+    by ``as_sample``."""
+    if data.ndim != 2 or data.shape[1] != len(grid.axes):
+        raise ValueError(f"sample of shape {data.shape} on a grid of "
+                         f"{len(grid.axes)} axes")
     n = data.shape[0]
-    shape = [a.size for a in axes]
+    b, axis, terms = grid.b, grid.axis, grid.terms
+    shape = [a.size for a in grid.axes]
     cols = max(_PAIRWISE_BLOCK, min(_MAX_COLS, _CHUNK_ELEMS // sum(shape)))
     # chunks of at most k rows, tiles of `step` nodes; each kernel value
     # takes the same operations in any tile and rows are summed whole,
@@ -268,15 +311,8 @@ def _field(data, axes, b, axis=None):
     # `rows` nodes at a time: a tile, or at d = 2 a GEMM block
     k = min(cols, n)
     step = max(1, _TILE_ELEMS // k)
-    rows = _GEMM_ELEMS // cols if len(axes) == 2 else step
-    # the node terms, once per field and axis. Past the float range a
-    # log kernel runs to -inf, a kernel of 0, and the terms to inf or
-    # nan, which only a non-finite total shows. A shape x/b that
-    # overflows is refused here, before any pool starts
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        terms = [node_terms(a[:, None], bj, j == axis)
-                 for j, (a, bj) in enumerate(zip(axes, b))]
-    p = _workers(shape[0], n * shape[0]) if len(axes) == 1 else 1
+    rows = _GEMM_ELEMS // cols if len(shape) == 2 else step
+    p = _workers(shape[0], n * shape[0]) if len(shape) == 1 else 1
     # each block is a range of axis-0 nodes and its workspaces: one for
     # its axis-0 group and the derivative weight tile, a matrix per axis
     # >= 1 and at d >= 3 a product buffer per axis 1 to d - 2. All are
@@ -284,18 +320,21 @@ def _field(data, axes, b, axis=None):
     # heaps small (BENCH_node-blocks.json). The group and the weight tile
     # share one array of 2 MB or less, under the 4 MiB from which numpy
     # asks for huge pages (BENCH_steady-rss.json); as one array glibc
-    # does not trim it off the heap after every call
+    # does not trim it off the heap after every call. The p ranges are
+    # those of np.array_split, the longer ones first
+    q, r = divmod(shape[0], p)
+    starts = [i * q + min(i, r) for i in range(p + 1)]
     blocks = []
-    for nodes in np.array_split(np.arange(shape[0]), p):
-        sizes = [nodes.size] + shape[1:]
-        group = min(rows, nodes.size) * k
+    for lo, hi in zip(starts, starts[1:]):
+        sizes = [hi - lo] + shape[1:]
+        group = min(rows, hi - lo) * k
         tile = 0 if axis is None else min(step, sizes[axis]) * k
         shared = np.empty(group + tile)
         work = [shared[:group]] + [np.empty(m * k) for m in shape[1:]]
         weights = None if axis is None else shared[group:]
         prods = [np.empty(m * k) for m in shape[1:-1]]
-        blocks.append((nodes[0], nodes[-1] + 1, work, weights, prods))
-    hold = (_BLAS if len(axes) > 1 and _BLAS is not None
+        blocks.append((lo, hi, work, weights, prods))
+    hold = (_BLAS if len(shape) > 1 and _BLAS is not None
             else contextlib.nullcontext())
     with hold:
         values = np.concatenate(_thread_map(
@@ -408,26 +447,8 @@ def field_on_grid(sample, axes, b, kind="density", axis=None):
     taken along ``axis``, the last one by default.
     """
     data = as_sample(sample)
-    d = data.shape[1]
-    if len(axes) != d:
-        raise ValueError(f"need {d} coordinate axes, got {len(axes)}")
-    axes = [np.asarray(a, dtype=float).ravel() for a in axes]
-    for j, a in enumerate(axes):
-        if (a.size == 0 or not np.all(np.isfinite(a)) or np.any(a < 0.0)
-                or np.any(np.diff(a) <= 0.0)):
-            raise ValueError(f"axis {j} must be nonempty, finite, "
-                             "nonnegative, strictly increasing")
-    b = _as_bandwidth(b, d)
-    if kind not in ("density", "derivative"):
-        raise ValueError("kind must be 'density' or 'derivative'")
-    if kind == "density":
-        axis = None
-    else:
-        axis = int(d - 1 if axis is None else axis)
-        if not 0 <= axis < d:
-            raise ValueError(f"axis {axis} out of range for d={d}")
-    return FieldOnGrid(axes=axes, values=_field(data, axes, b, axis),
-                       kind=kind)
+    grid = _grid(data.shape[1], axes, b, kind, axis)
+    return FieldOnGrid(axes=grid.axes, values=_field(data, grid), kind=kind)
 
 
 def load_sample(path):

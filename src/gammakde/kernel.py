@@ -15,7 +15,7 @@ the tile routine ``node_terms`` chose: the kernel in five ufunc passes,
 its x-derivative in six, with ln(d(rho)/dx) folded into the node
 constant of the log kernel. Each
 public function checks t, x and b once, t first; a field's nodes and
-bandwidths are checked by ``estimator.field_on_grid``.
+bandwidths are checked by ``estimator._grid``.
 """
 
 from collections import namedtuple
@@ -96,7 +96,7 @@ class ObsTerms(namedtuple("ObsTerms", "logt tb t_zero lt")):
 def node_terms(x, b, grad=False):
     """The ``NodeTerms`` at the nodes ``x``, with the derivative tile and
     its folded constant if ``grad``. x and b are float arrays already
-    checked by the caller (``_checked``, or ``field_on_grid``); only a
+    checked by the caller (``_checked``, or ``estimator._grid``); only a
     shape x/b that overflows is refused here."""
     r, interior = _shape(x, b)
     logb = np.log(b)

@@ -126,11 +126,22 @@ def _halley_step(k, z, x, y):
 
 def _from_normal_block(k, table, z, x):
     """Writes Gamma(k, 1)'s x(z) into x, for z of one block."""
+    if not z.size:
+        return
     z_lo, coef, halley = table
-    far = ~((z >= z_lo) & (z < _Z_TABLE))
-    u = (np.where(far, 0.0, z) + _Z_TABLE) * _Z_STEPS
-    i = np.minimum(u.astype(np.intp), coef.shape[1] - 1)
-    t = u - i
+    # the far values, outside [z_lo, _Z_TABLE) or nan, are read at z = 0
+    # and then replaced by the tail inverse; most blocks have none
+    far, near = None, z
+    if not (z.min() >= z_lo and z.max() < _Z_TABLE):
+        far = ~((z >= z_lo) & (z < _Z_TABLE))
+        near = np.where(far, 0.0, z)
+    u = (near + _Z_TABLE) * _Z_STEPS
+    # u >= 0, so floor(u) is the piece; as a float, t = u - f is float
+    # minus float, which numpy runs without the interpreter lock (float
+    # minus intp holds it)
+    f = np.minimum(np.floor(u), coef.shape[1] - 1.0)
+    t = u - f
+    i = f.astype(np.intp)
     # Horner's rule gathers one row of coef at a time, so every temporary
     # is one block of floats, which malloc reuses
     y = coef[3].take(i)
@@ -138,10 +149,16 @@ def _from_normal_block(k, table, z, x):
         y *= t
         y += c.take(i)
     np.exp(y, out=x)
-    step = np.flatnonzero(halley.take(i) & ~far)
-    if step.size:
-        x[step] = _halley_step(k, z.take(step), x.take(step), y.take(step))
-    if far.any():
+    # the tables of most shapes mark no piece (none for k in 0.6 to 1e4)
+    if halley.any():
+        marked = halley.take(i)
+        if far is not None:
+            marked &= ~far
+        step = np.flatnonzero(marked)
+        if step.size:
+            x[step] = _halley_step(k, z.take(step), x.take(step),
+                                   y.take(step))
+    if far is not None:
         x[far] = _tail_inverse(k, z[far])
 
 

@@ -66,6 +66,9 @@ class ExperimentConfig:
         self.n_grid = [int(n) for n in self.n_grid]
         if any(b >= a for a, b in zip(self.n_grid[1:], self.n_grid[:-1])):
             raise ValueError("n_grid must be strictly increasing")
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be >= 0 and < 2**128, got "
+                             f"{self.seed}")
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
         if self.workers < 1:
@@ -200,16 +203,22 @@ def _true_values(config, axes):
 
 
 def _replicate_runs(config, axes, reduce):
-    """Per n: n, b and ``reduce`` of each replicate's field on ``axes``."""
-    for n_index, n in enumerate(config.n_grid):
-        b = config.bandwidth_at(n)
-        bvec = np.full(config.tau + 1, b)
+    """Per n: n, b and ``reduce`` of each replicate's field on ``axes``.
+
+    The grid of every n is checked and its node terms built first, on
+    the calling thread (``estimator._grid``), so a bad grid or bandwidth
+    is refused before any series is generated, and the replicates of an
+    n share one grid.
+    """
+    bs = [config.bandwidth_at(n) for n in config.n_grid]
+    grids = [estimator._grid(config.tau + 1, axes, b, config.which, None)
+             for b in bs]
+    for n_index, (n, b, grid) in enumerate(zip(config.n_grid, bs, grids)):
 
         def one(seed):
             series = gen_series(config.process, n + config.tau, seed)
-            data = estimator.fragment(series, config.tau)
-            return reduce(estimator.field_on_grid(
-                data, axes, bvec, kind=config.which).values)
+            return reduce(estimator._field(
+                estimator.fragment(series, config.tau), grid))
 
         yield n, b, _run_replicates(config, n_index, one)
 

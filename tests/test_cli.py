@@ -221,6 +221,9 @@ BAD_INPUT = {
     "simulate-negative-tau": f"{SIM} --n-grid 100,200 --tau -1",
     "workers-zero": f"{SIM} --n-grid 100,200 --workers 0",
     "workers-negative": f"{SIM} --n-grid 100,200 --workers -3",
+    # past the 128-bit Philox key
+    "seed-too-large": "simulate --output {out} --b 0.15 --n-grid 100,200 "
+                      "--seed 340282366920938463463374607431768211456",
     # non-finite marginal parameters
     "simulate-gamma-nan": f"{SIM} --n-grid 100,200 --marginal gamma:nan,1",
     "simulate-exp-nan": f"{SIM} --n-grid 100,200 --marginal exp:nan",
@@ -316,6 +319,8 @@ BAD_INPUT_MESSAGE = {
     "simulate-negative-tau": "argument --tau: must be >= 0, got -1",
     "workers-zero": "argument --workers: must be >= 1, got 0",
     "workers-negative": "argument --workers: must be >= 1, got -3",
+    "seed-too-large": "seed must be >= 0 and < 2**128, got "
+                      "340282366920938463463374607431768211456",
     "one-replicate": "argument --replicates: must be >= 2, got 1",
     "n-grid-decreasing": "argument --n-grid: sample sizes must be strictly "
                          "increasing, got 100,50",

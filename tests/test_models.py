@@ -101,6 +101,29 @@ def _one_pass(m, z):
     return m.scale * x.reshape(z.shape)
 
 
+def _earlier_block(k, table, z, x):
+    """``_from_normal_block`` as its earlier sequence, written out: the
+    piece by ``astype``, t by a float minus intp subtract, four row
+    ``take``s, the Halley mask ``halley.take(i) & ~far`` and the far
+    values after it."""
+    z_lo, coef, halley = table
+    far = ~((z >= z_lo) & (z < _Z_TABLE))
+    u = (np.where(far, 0.0, z) + _Z_TABLE) * _Z_STEPS
+    i = np.minimum(u.astype(np.intp), coef.shape[1] - 1)
+    t = u - i
+    y = coef[3].take(i)
+    y = y * t + coef[2].take(i)
+    y = y * t + coef[1].take(i)
+    y = y * t + coef[0].take(i)
+    np.exp(y, out=x)
+    step = np.flatnonzero(halley.take(i) & ~far)
+    if step.size:
+        x[step] = models._halley_step(k, z.take(step), x.take(step),
+                                      y.take(step))
+    if far.any():
+        x[far] = models._tail_inverse(k, z[far])
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
     """An empty table cache, and the shapes _normal_table builds for it."""
@@ -187,6 +210,39 @@ class TestFromNormal:
         z = np.random.default_rng(3).standard_normal((3, _BLOCK + 7)) * 4.0
         for zz in (z, z.T, np.empty((0,))):
             np.testing.assert_array_equal(m.from_normal(zz), _one_pass(m, zz))
+
+    @pytest.mark.parametrize("k", [0.05, 0.3, 1.0, 3.0, 1e3, 3e4, 1e6])
+    def test_block_is_the_earlier_sequence(self, k):
+        # bit for bit on blocks with no far value, with far values only,
+        # with both, and empty; at z = +-8.5, their neighbouring doubles,
+        # and below z_lo, which is above -8.5 at k = 0.05, where low
+        # nodes underflow. The pieces at k = 0.05 and 0.3 that take a
+        # Halley step (thousands and hundreds) are met by the random blocks
+        table = _shape_table(k)
+        z_lo = table[0]
+        assert table[2].any() or k not in (0.05, 0.3)
+        assert (z_lo > -_Z_TABLE) == (k == 0.05)
+        rng = np.random.default_rng(int(k * 100))
+        edges = np.array([-_Z_TABLE, _Z_TABLE, z_lo])
+        around = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                 np.nextafter(edges, -np.inf)])
+        near = rng.uniform(z_lo, _Z_TABLE, 3 * _BLOCK)
+        near[:3] = [z_lo, np.nextafter(_Z_TABLE, 0.0), 0.0]
+        blocks = [
+            around,
+            near,
+            rng.standard_normal(2 * _BLOCK) * 4.0,
+            np.concatenate([rng.uniform(_Z_TABLE, 40.0, 50),
+                            rng.uniform(-40.0, z_lo, 50),
+                            [_Z_TABLE, np.nextafter(z_lo, -np.inf)]]),
+            z_lo - np.linspace(0.0, 1.0, 101)[1:],
+            np.empty(0),
+        ]
+        for z in blocks:
+            got, want = np.empty(z.size), np.empty(z.size)
+            _from_normal_block(k, table, z, got)
+            _earlier_block(k, table, z, want)
+            assert got.tobytes() == want.tobytes()
 
     def test_lazy_table_race_is_bitwise_stable(self, table_builds):
         # the cache is empty, so the 4 racing threads meet the first build

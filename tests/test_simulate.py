@@ -15,6 +15,7 @@ from scipy.stats import kstest, pearsonr
 
 from gammakde import estimator, simulate
 from gammakde.models import _BLOCK, GammaMarginal
+from gammakde.quadrature import trapezoid_nd
 from gammakde.simulate import (
     ExperimentConfig,
     ExperimentResult,
@@ -288,6 +289,84 @@ class TestMcMise:
         assert n_records == len(res.records) + len(res.summary) + 1
 
 
+class TestReplicateGrids:
+    """Each sample size's grid is checked and its node terms built once,
+    on the calling thread, for all of its replicates."""
+
+    @staticmethod
+    def _config(**kw):
+        base = dict(process=AR_SPEC, n_grid=[60, 90, 150], replicates=8,
+                    tau=0, seed=4321, which="density", bandwidth=0.4,
+                    workers=2)
+        base.update(kw)
+        return ExperimentConfig(**base)
+
+    def test_node_terms_once_per_sample_size(self, monkeypatch):
+        built = []
+        node_terms = estimator.node_terms
+
+        def counted(x, *args):
+            built.append(x.size)
+            return node_terms(x, *args)
+
+        monkeypatch.setattr(estimator, "node_terms", counted)
+        cfg = self._config(tau=1, which="derivative")
+        mc_mise(cfg)
+        assert built == [60, 60] * 3
+        built.clear()
+        mc_point_stats(cfg, [1.5, 1.5])
+        assert built == [1, 1] * 3
+
+    @pytest.mark.parametrize("tau", [0, 1])
+    @pytest.mark.parametrize("which", ["density", "derivative"])
+    def test_replicates_are_the_public_steps(self, tau, which):
+        # every ISE record and the point statistics, bit for bit, from
+        # replicates rebuilt with the public functions
+        cfg = self._config(tau=tau, which=which, replicates=4)
+        reps, b = cfg.replicates, np.full(tau + 1, cfg.bandwidth)
+
+        def fields(axes):
+            for n_index, n in enumerate(cfg.n_grid):
+                for r in range(reps):
+                    series = gen_series(cfg.process, n + tau,
+                                        cfg.seed ^ (n_index * reps + r))
+                    yield n, r, estimator.field_on_grid(
+                        estimator.fragment(series, tau), axes, b,
+                        kind=which).values
+
+        axes = simulate._ise_axes(cfg)
+        truth = simulate._true_values(cfg, axes)
+        with np.errstate(all="ignore"):
+            want = [(n, r, trapezoid_nd((f - truth) ** 2, axes))
+                    for n, r, f in fields(axes)]
+        got = mc_mise(cfg).records
+        assert len(got) == len(want) == 3 * reps
+        assert [(n, r, float(ise).hex()) for n, r, ise in got] == [
+            (n, r, float(ise).hex()) for n, r, ise in want]
+
+        x = [1.5] * (tau + 1)
+        values = np.array([f.item() for _n, _r, f in
+                            fields([np.array([xj]) for xj in x])])
+        for stats, vals in zip(mc_point_stats(cfg, x),
+                               values.reshape(3, reps)):
+            assert stats.mean.hex() == float(vals.mean()).hex()
+            assert stats.variance.hex() == float(vals.var(ddof=1)).hex()
+
+    def test_refused_grid_generates_no_series(self, monkeypatch):
+        # x/b overflows at the nodes past 1.8e8, which node_terms refuses
+        def no_series(*_args):
+            raise AssertionError("a series was generated")
+
+        monkeypatch.setattr(simulate, "gen_series", no_series)
+        cfg = self._config(
+            process=MixingProcessSpec(GammaMarginal(3.0, 1e8)),
+            bandwidth=1e-300)
+        with pytest.raises(ValueError, match="x/b overflows"):
+            mc_mise(cfg)
+        with pytest.raises(ValueError, match="x/b overflows"):
+            mc_point_stats(cfg, [1e9])
+
+
 class TestRateFit:
     def test_recovers_exact_power_law(self):
         res = ExperimentResult(which="density")
@@ -345,6 +424,19 @@ class TestConfigValidation:
                            "'derivative'"):
             ExperimentConfig(process=EXP_SPEC, n_grid=[100], replicates=2,
                              tau=0, seed=1, bandwidth=0.2, which="mixing")
+
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**200])
+    def test_seed_is_a_philox_key(self, seed):
+        # refused here, not by numpy inside the first replicate
+        with pytest.raises(ValueError, match=r"seed must be >= 0 and "
+                           rf"< 2\*\*128, got {seed}$"):
+            ExperimentConfig(process=EXP_SPEC, n_grid=[100], replicates=2,
+                             tau=0, seed=seed, bandwidth=0.2)
+
+    def test_largest_seed_runs(self):
+        cfg = ExperimentConfig(process=EXP_SPEC, n_grid=[20], replicates=2,
+                               tau=0, seed=2**128 - 1, bandwidth=0.2)
+        assert np.isfinite(mc_point_stats(cfg, [1.0])[0].mean)
 
     def test_rule_bandwidth_resolves_per_n(self):
         from gammakde.bandwidth import BandwidthRule
